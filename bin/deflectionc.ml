@@ -48,10 +48,10 @@ let schema_versions =
     ("fuzz", "1");
     ("gateway", "1");
     ("server", "1");
-    ("server-cache", "1");
+    ("server-cache", "2");
     ("server-chaos", "1");
     ("benchdiff", "1");
-    ("audit", "1");
+    ("audit", "2");
     ("forensics", "1");
     ("profile", "1");
   ]
@@ -112,8 +112,7 @@ let verify_mode_conv =
     | None ->
       Error
         (`Msg
-          (Printf.sprintf "unknown verification mode %S (descent, witnessed, witnessed-fallback)"
-             s))
+          (Printf.sprintf "unknown verification mode %S (descent, witnessed)" s))
   in
   let print fmt m = Format.pp_print_string fmt (Verifier.mode_label m) in
   Arg.conv (parse, print)
@@ -124,10 +123,9 @@ let verify_mode_arg =
     & opt verify_mode_conv Verifier.Descent
     & info [ "verify-mode" ] ~docv:"MODE"
         ~doc:
-          "Verification mode: $(b,descent) (classic recursive-descent re-discovery), \
-           $(b,witnessed) (one linear replay of the compiler-emitted witness; refuses \
-           witnessless binaries), or $(b,witnessed-fallback) (witnessed, re-running the \
-           descent whenever the witness itself is at fault).")
+          "Verification mode: $(b,descent) (classic recursive-descent re-discovery) \
+           or $(b,witnessed) (one linear replay of the compiler-emitted witness; refuses \
+           witnessless binaries).")
 
 let read_file path =
   let ic = open_in_bin path in
@@ -706,8 +704,8 @@ let gateway_cmd =
           ~doc:
             "Attach the attested audit plane: every admission decision appends one record to \
              a hash-chained log sealed under the platform derived from --seed, and the \
-             deflection-audit/1 document (records, segment MACs, chain head, binding quote) \
-             is written to $(docv). Check it with `deflectionc audit verify $(docv) --seed \
+             deflection-audit/2 document (MAC'd segments of records, chain heads, binding \
+             quote) is written to $(docv). Check it with `deflectionc audit verify $(docv) --seed \
              S`.")
   in
   let action sessions jobs seed cold out trace prom audit policies ssa_q verification =
@@ -903,8 +901,9 @@ let serve_cmd =
       & info [ "state" ] ~docv:"DIR"
           ~doc:
             "Persistence root: the verdict caches are sealed to \
-             $(docv)/verdict-cache.json every --persist-every rounds and reloaded — \
-             segment by segment, fail-closed — on the next start.")
+             $(docv)/verdict-cache.json (a deflection-server-cache/2 document) every \
+             --persist-every rounds and reloaded — segment by segment, fail-closed — on the \
+             next start.")
   in
   let persist_every =
     Arg.(
@@ -917,7 +916,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "audit" ] ~docv:"FILE"
           ~doc:
-            "Write the sealed deflection-audit/1 admission log to $(docv) after every \
+            "Write the sealed deflection-audit/2 admission log to $(docv) after every \
              round (so it survives a kill) and at shutdown. Check with `deflectionc \
              audit verify $(docv) --seed S`.")
   in
@@ -1266,7 +1265,7 @@ let benchdiff_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* audit: the consumer side of the attested audit plane. `verify`
-   re-walks a sealed deflection-audit/1 document under the platform
+   re-walks a sealed deflection-audit/2 document under the platform
    re-derived from --seed and exits 12 on any tamper; `show` renders the
    records without integrity checks. *)
 

@@ -20,13 +20,16 @@
                                 whose latency_ns percentile block is
                                 well-formed (monotone p50<=p90<=p95<=p99,
                                 one "session" sample per session)
-     json_check --audit FILE    additionally enforce the deflection-audit/1
+     json_check --audit FILE    additionally enforce the deflection-audit/2
                                 schema: hex-encoded digests everywhere,
-                                contiguous sequence numbers, segments that
-                                tile the records, and a quote whose report
-                                data is the chain head (structural only —
-                                the cryptographic re-walk needs the sealing
-                                platform and lives in `deflectionc audit
+                                records inside non-empty segments of at
+                                most segment_records, contiguous sequence
+                                numbers across segments, a last segment
+                                head equal to the document head, and a
+                                quote whose report data is the chain head
+                                (structural only — the cryptographic
+                                re-walk needs the sealing platform and
+                                lives in `deflectionc audit
                                 verify`)
      json_check --server FILE   additionally enforce the deflection-server/1
                                 schema: every offer accounted for exactly
@@ -336,70 +339,66 @@ let hex_field ?len path json name =
 
 let check_audit path json =
   (match Json.member "schema" json with
-  | Some (Json.Str "deflection-audit/1") -> ()
+  | Some (Json.Str "deflection-audit/2") -> ()
   | Some (Json.Str other) -> die "%s: unknown schema %S" path other
   | _ -> die "%s: missing \"schema\" field" path);
+  ignore (int_field path json "generation");
   ignore (hex_field ~len:64 path json "genesis");
   let head = hex_field ~len:64 path json "head" in
   ignore (hex_field ~len:64 path json "final_mac");
   let segment_records = int_field path json "segment_records" in
   if segment_records <= 0 then die "%s: non-positive \"segment_records\"" path;
-  let n_records =
-    match Json.member "records" json with
-    | Some (Json.List []) -> die "%s: audit log holds no records" path
-    | Some (Json.List records) ->
-      List.iteri
-        (fun i r ->
-          if int_field path r "seq" <> i then
-            die "%s: record %d carries seq %d — not an untouched append order" path i
-              (int_field path r "seq");
-          ignore (hex_field ~len:64 path r "measurement");
-          if str_field path r "policies" = "" then
-            die "%s: record %d: empty policy-set label" path i;
-          ignore (int_field path r "ssa_q");
-          ignore (int_field path r "lane");
-          (match Json.member "cache" r with
-          | Some (Json.Str ("hit" | "miss" | "uncached")) -> ()
-          | _ -> die "%s: record %d: \"cache\" is not hit/miss/uncached" path i);
-          match Json.member "verdict" r with
-          | Some (Json.Obj _ as v) -> (
-            match Json.member "status" v with
-            | Some (Json.Str "accepted") -> ignore (int_field path v "instructions")
-            | Some (Json.Str "rejected") ->
-              ignore (str_field path v "pass");
-              ignore (int_field path v "offset");
-              ignore (str_field path v "reason")
-            | _ -> die "%s: record %d: verdict status is not accepted/rejected" path i)
-          | _ -> die "%s: record %d: missing \"verdict\" object" path i)
-        records;
-      List.length records
-    | _ -> die "%s: missing \"records\" array" path
+  let check_record i r =
+    if int_field path r "seq" <> i then
+      die "%s: record %d carries seq %d — not an untouched append order" path i
+        (int_field path r "seq");
+    ignore (hex_field ~len:64 path r "measurement");
+    if str_field path r "policies" = "" then die "%s: record %d: empty policy-set label" path i;
+    ignore (int_field path r "ssa_q");
+    ignore (int_field path r "lane");
+    (match Json.member "cache" r with
+    | Some (Json.Str ("hit" | "miss" | "uncached")) -> ()
+    | _ -> die "%s: record %d: \"cache\" is not hit/miss/uncached" path i);
+    match Json.member "verdict" r with
+    | Some (Json.Obj _ as v) -> (
+      match Json.member "status" v with
+      | Some (Json.Str "accepted") -> ignore (int_field path v "instructions_checked")
+      | Some (Json.Str "rejected") ->
+        ignore (str_field path v "pass");
+        ignore (int_field path v "offset");
+        ignore (str_field path v "reason")
+      | _ -> die "%s: record %d: verdict status is not accepted/rejected" path i)
+    | _ -> die "%s: record %d: missing \"verdict\" object" path i
   in
-  (match Json.member "segments" json with
-  | Some (Json.List segments) ->
-    if segments = [] then die "%s: %d record(s) but no sealed segments" path n_records;
-    let next = ref 0 in
-    List.iteri
-      (fun i s ->
-        if int_field path s "index" <> i then die "%s: segment %d carries index %d" path i
-            (int_field path s "index");
-        let first = int_field path s "first_seq" in
-        let last = int_field path s "last_seq" in
-        if first <> !next || last < first then
-          die "%s: segment %d spans [%d,%d] but the chain is covered up to %d" path i first
-            last !next;
-        next := last + 1;
+  let segments =
+    match Json.member "segments" json with
+    | Some (Json.List []) -> die "%s: audit log holds no records" path
+    | Some (Json.List segments) -> segments
+    | _ -> die "%s: missing \"segments\" array" path
+  in
+  (* records live inside their segments: seq numbers run on across them *)
+  let n_records =
+    List.fold_left
+      (fun next (i, s) ->
+        if int_field path s "index" <> i then
+          die "%s: segment %d carries index %d" path i (int_field path s "index");
         ignore (hex_field ~len:64 path s "head");
-        ignore (hex_field ~len:64 path s "mac"))
-      segments;
-    if !next <> n_records then
-      die "%s: segments cover %d record(s) but the log holds %d" path !next n_records;
-    (* the last segment closes at the last record, so its head is the
-       log's head *)
-    let last_seg = List.nth segments (List.length segments - 1) in
-    if str_field path last_seg "head" <> head then
-      die "%s: final segment head disagrees with the document head" path
-  | _ -> die "%s: missing \"segments\" array" path);
+        ignore (hex_field ~len:64 path s "mac");
+        match Json.member "entries" s with
+        | Some (Json.List records) ->
+          let n = List.length records in
+          if n = 0 || n > segment_records then
+            die "%s: segment %d holds %d record(s), not 1..%d" path i n segment_records;
+          List.iteri (fun k r -> check_record (next + k) r) records;
+          next + n
+        | _ -> die "%s: segment %d has no \"entries\" array" path i)
+      0
+      (List.mapi (fun i s -> (i, s)) segments)
+  in
+  (* the last segment closes at the last record, so its head is the log's
+     head *)
+  if str_field path (List.nth segments (List.length segments - 1)) "head" <> head then
+    die "%s: final segment head disagrees with the document head" path;
   (match Json.member "quote" json with
   | Some (Json.Obj _ as q) ->
     ignore (hex_field ~len:64 path q "measurement");

@@ -3,8 +3,8 @@ module Verifier = Deflection_verifier.Verifier
 module Attestation = Deflection_attestation.Attestation
 module Json = Deflection_telemetry.Json
 module Sha256 = Deflection_crypto.Sha256
-module Hmac = Deflection_crypto.Hmac
 module Hex = Deflection_util.Hex
+module Field = Sealed_log.Field
 
 type cache_outcome = Hit | Miss | Uncached
 
@@ -20,6 +20,9 @@ type verdict =
   | Accepted of Verifier.report
   | Rejected of Verifier.rejection
 
+let to_result = function Accepted r -> Ok r | Rejected j -> Error j
+let of_result = function Ok r -> Accepted r | Error j -> Rejected j
+
 type record = {
   seq : int;
   measurement : string;
@@ -31,41 +34,13 @@ type record = {
   lane : int;
 }
 
-let schema = "deflection-audit/1"
+let schema = "deflection-audit/2"
 
-(* Injective encoding: every field is length-prefixed, so no field value
-   (reason strings, policy labels) can masquerade as a field boundary. *)
 let canonical r =
-  let b = Buffer.create 160 in
-  let f s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  f "deflection-audit-record/1";
-  f (string_of_int r.seq);
-  f r.measurement;
-  f r.policies;
-  f r.mode;
-  f (string_of_int r.ssa_q);
-  (match r.verdict with
-  | Accepted rep ->
-    f "accepted";
-    f (string_of_int rep.Verifier.instructions_checked);
-    f (string_of_int rep.Verifier.store_annotations);
-    f (string_of_int rep.Verifier.rsp_annotations);
-    f (string_of_int rep.Verifier.cfi_annotations);
-    f (string_of_int rep.Verifier.prologues);
-    f (string_of_int rep.Verifier.epilogues);
-    f (string_of_int rep.Verifier.ssa_checks)
-  | Rejected rej ->
-    f "rejected";
-    f (Verifier.pass_label rej.Verifier.pass);
-    f (string_of_int rej.Verifier.offset);
-    f rej.Verifier.reason);
-  f (cache_outcome_label r.cache);
-  f (string_of_int r.lane);
-  Buffer.contents b
+  Sealed_log.mac_body "deflection-audit-record/1"
+    ([ string_of_int r.seq; r.measurement; r.policies; r.mode; string_of_int r.ssa_q ]
+    @ Verdict_codec.canonical (to_result r.verdict)
+    @ [ cache_outcome_label r.cache; string_of_int r.lane ])
 
 let content_key r = canonical { r with seq = 0; lane = 0 }
 
@@ -79,55 +54,46 @@ let chain_step prev canon =
   Sha256.update_string ctx canon;
   Sha256.finalize ctx
 
-(* MAC bodies share the record encoding discipline. *)
-let mac_body tag fields =
-  let b = Buffer.create 96 in
-  let f s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  f tag;
-  List.iter f fields;
-  Bytes.of_string (Buffer.contents b)
+(* An audit log only ever grows, so it is a single generation. The
+   closing MAC also binds the document head and the segment size. *)
+let generation = 0
+let bound = [ "segment_records"; "head" ]
+let sealed_log key = Sealed_log.create ~schema ~key
 
-let segment_mac ~key ~index ~first_seq ~last_seq ~prev_head ~head =
-  Hmac.sha256 ~key
-    (mac_body "DEFLECTION-audit-segment-v1"
-       [
-         string_of_int index;
-         string_of_int first_seq;
-         string_of_int last_seq;
-         Bytes.to_string prev_head;
-         Bytes.to_string head;
-       ])
-
-let final_mac ~key ~count ~head =
-  Hmac.sha256 ~key
-    (mac_body "DEFLECTION-audit-final-v1" [ string_of_int count; Bytes.to_string head ])
+let record_json r =
+  Json.Obj
+    [
+      ("seq", Json.Int r.seq);
+      ("measurement", Json.Str r.measurement);
+      ("policies", Json.Str r.policies);
+      ("mode", Json.Str r.mode);
+      ("ssa_q", Json.Int r.ssa_q);
+      ("verdict", Json.Obj (Verdict_codec.fields (to_result r.verdict)));
+      ("cache", Json.Str (cache_outcome_label r.cache));
+      ("lane", Json.Int r.lane);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
 module Log = struct
+  (* A closed segment's MAC is computed when a seal first needs it (under
+     the mutex), so appending never hashes beyond the chain step. *)
   type segment = {
-    s_index : int;
-    s_first : int;
-    s_last : int;
-    s_head : bytes;  (* chain head after s_last *)
-    s_mac : bytes;
+    records : record list;
+    head : bytes;  (* chain head after its last record *)
+    mac : bytes Lazy.t;
   }
 
   type t = {
     platform : Attestation.Platform.t;
-    key : bytes;
+    sealed : Sealed_log.t;
     segment_records : int;
     mutex : Mutex.t;
-    mutable records_rev : record list;
     mutable count : int;
     mutable head : bytes;
-    mutable seg_start_head : bytes;  (* head before the open segment *)
-    mutable seg_first : int;  (* first seq of the open segment *)
-    mutable segments_rev : segment list;
+    mutable open_rev : (record * string) list;
+        (* the open segment's records with their canonical forms, newest first *)
+    mutable closed_rev : segment list;
   }
 
   let create ?(segment_records = 8) ~platform () =
@@ -135,19 +101,26 @@ module Log = struct
       invalid_arg "Audit.Log.create: segment_records must be positive";
     {
       platform;
-      key = Attestation.Platform.sealing_key platform;
+      sealed = sealed_log (Attestation.Platform.sealing_key platform);
       segment_records;
       mutex = Mutex.create ();
-      records_rev = [];
       count = 0;
       head = genesis_raw;
-      seg_start_head = genesis_raw;
-      seg_first = 0;
-      segments_rev = [];
+      open_rev = [];
+      closed_rev = [];
+    }
+
+  (* close the open segment at [position]; call with the mutex held *)
+  let close_open t ~position =
+    let canons = List.rev_map snd t.open_rev in
+    {
+      records = List.rev_map fst t.open_rev;
+      head = t.head;
+      mac = lazy (Sealed_log.segment_mac t.sealed ~generation ~position canons);
     }
 
   let append t ~measurement ~policies ~mode ~ssa_q ~verdict ~cache ~lane =
-    Mutex.lock t.mutex;
+    Mutex.protect t.mutex @@ fun () ->
     let r =
       {
         seq = t.count;
@@ -160,139 +133,57 @@ module Log = struct
         lane;
       }
     in
-    t.head <- chain_step t.head (canonical r);
-    t.records_rev <- r :: t.records_rev;
+    let canon = canonical r in
+    t.head <- chain_step t.head canon;
     t.count <- t.count + 1;
-    if t.count - t.seg_first = t.segment_records then begin
-      let s_index = List.length t.segments_rev in
-      t.segments_rev <-
-        {
-          s_index;
-          s_first = t.seg_first;
-          s_last = t.count - 1;
-          s_head = t.head;
-          s_mac =
-            segment_mac ~key:t.key ~index:s_index ~first_seq:t.seg_first
-              ~last_seq:(t.count - 1) ~prev_head:t.seg_start_head ~head:t.head;
-        }
-        :: t.segments_rev;
-      t.seg_start_head <- t.head;
-      t.seg_first <- t.count
+    t.open_rev <- (r, canon) :: t.open_rev;
+    if t.count mod t.segment_records = 0 then begin
+      t.closed_rev <- close_open t ~position:((t.count / t.segment_records) - 1) :: t.closed_rev;
+      t.open_rev <- []
     end;
-    Mutex.unlock t.mutex;
     r
 
-  let length t =
-    Mutex.lock t.mutex;
-    let n = t.count in
-    Mutex.unlock t.mutex;
-    n
-
-  let head t =
-    Mutex.lock t.mutex;
-    let h = Hex.encode t.head in
-    Mutex.unlock t.mutex;
-    h
+  let length t = Mutex.protect t.mutex (fun () -> t.count)
+  let head t = Mutex.protect t.mutex (fun () -> Hex.encode t.head)
 
   let records t =
-    Mutex.lock t.mutex;
-    let rs = List.rev t.records_rev in
-    Mutex.unlock t.mutex;
-    rs
-
-  let verdict_json = function
-    | Accepted rep ->
-      Json.Obj
-        [
-          ("status", Json.Str "accepted");
-          ("instructions", Json.Int rep.Verifier.instructions_checked);
-          ("store_annotations", Json.Int rep.Verifier.store_annotations);
-          ("rsp_annotations", Json.Int rep.Verifier.rsp_annotations);
-          ("cfi_annotations", Json.Int rep.Verifier.cfi_annotations);
-          ("prologues", Json.Int rep.Verifier.prologues);
-          ("epilogues", Json.Int rep.Verifier.epilogues);
-          ("ssa_checks", Json.Int rep.Verifier.ssa_checks);
-        ]
-    | Rejected rej ->
-      Json.Obj
-        [
-          ("status", Json.Str "rejected");
-          ("pass", Json.Str (Verifier.pass_label rej.Verifier.pass));
-          ("offset", Json.Int rej.Verifier.offset);
-          ("reason", Json.Str rej.Verifier.reason);
-        ]
-
-  let record_json r =
-    Json.Obj
-      [
-        ("seq", Json.Int r.seq);
-        ("measurement", Json.Str r.measurement);
-        ("policies", Json.Str r.policies);
-        ("mode", Json.Str r.mode);
-        ("ssa_q", Json.Int r.ssa_q);
-        ("verdict", verdict_json r.verdict);
-        ("cache", Json.Str (cache_outcome_label r.cache));
-        ("lane", Json.Int r.lane);
-      ]
-
-  let segment_json s =
-    Json.Obj
-      [
-        ("index", Json.Int s.s_index);
-        ("first_seq", Json.Int s.s_first);
-        ("last_seq", Json.Int s.s_last);
-        ("head", Json.Str (Hex.encode s.s_head));
-        ("mac", Json.Str (Hex.encode s.s_mac));
-      ]
+    Mutex.protect t.mutex (fun () ->
+        List.concat_map (fun s -> s.records) (List.rev t.closed_rev) @ List.rev_map fst t.open_rev)
 
   let seal t =
-    Mutex.lock t.mutex;
-    let records = List.rev t.records_rev in
-    let count = t.count in
-    let head = Bytes.copy t.head in
-    let closed = List.rev t.segments_rev in
-    let seg_first = t.seg_first in
-    let seg_start_head = t.seg_start_head in
-    Mutex.unlock t.mutex;
-    (* a trailing partial segment gets its MAC at seal time, so every
-       record of the sealed document is MAC-covered *)
-    let segments =
-      if count > seg_first then
-        closed
-        @ [
-            (let s_index = List.length closed in
-             {
-               s_index;
-               s_first = seg_first;
-               s_last = count - 1;
-               s_head = head;
-               s_mac =
-                 segment_mac ~key:t.key ~index:s_index ~first_seq:seg_first
-                   ~last_seq:(count - 1) ~prev_head:seg_start_head ~head;
-             });
-          ]
-      else closed
+    let count, head, segments =
+      Mutex.protect t.mutex @@ fun () ->
+      let closed = List.rev t.closed_rev in
+      (* a trailing partial segment is sealed too, so every record of the
+         sealed document is MAC-covered *)
+      let segments =
+        if t.open_rev = [] then closed else closed @ [ close_open t ~position:(List.length closed) ]
+      in
+      List.iter (fun s -> ignore (Lazy.force s.mac)) segments;
+      (t.count, t.head, segments)
     in
     let quote =
       Attestation.Platform.quote t.platform ~measurement:plane_measurement ~report_data:head
     in
-    Json.Obj
-      [
-        ("schema", Json.Str schema);
-        ("genesis", Json.Str genesis);
-        ("segment_records", Json.Int t.segment_records);
-        ("records", Json.List (List.map record_json records));
-        ("segments", Json.List (List.map segment_json segments));
-        ("head", Json.Str (Hex.encode head));
-        ("final_mac", Json.Str (Hex.encode (final_mac ~key:t.key ~count ~head)));
-        ( "quote",
-          Json.Obj
-            [
-              ("measurement", Json.Str (Hex.encode quote.Attestation.Quote.measurement));
-              ("report_data", Json.Str (Hex.encode quote.Attestation.Quote.report_data));
-              ("signature", Json.Str (Hex.encode quote.Attestation.Quote.signature));
-            ] );
-      ]
+    let hex b = Json.Str (Hex.encode b) in
+    Sealed_log.document t.sealed ~generation ~entries:count
+      ~bound:[ ("segment_records", Json.Int t.segment_records); ("head", hex head) ]
+      ~extra:
+        [
+          ("genesis", Json.Str genesis);
+          ( "quote",
+            Json.Obj
+              [
+                ("measurement", hex quote.Attestation.Quote.measurement);
+                ("report_data", hex quote.Attestation.Quote.report_data);
+                ("signature", hex quote.Attestation.Quote.signature);
+              ] );
+        ]
+      (List.mapi
+         (fun position s ->
+           Sealed_log.segment ~position ~mac:(Lazy.force s.mac) (List.map record_json s.records)
+             [ ("head", hex s.head) ])
+         segments)
 end
 
 type sink = { log : Log.t; lane : int }
@@ -305,7 +196,6 @@ type tamper =
   | Sequence_broken of { index : int }
   | Chain_mismatch of { segment : int }
   | Segment_mac_mismatch of { segment : int }
-  | Coverage_gap of { segment : int }
   | Head_mismatch
   | Final_mac_mismatch
   | Quote_mismatch of string
@@ -318,8 +208,6 @@ let tamper_to_string = function
     Printf.sprintf "hash chain diverges inside segment %d: a record was altered" segment
   | Segment_mac_mismatch { segment } ->
     Printf.sprintf "segment %d MAC does not verify: spliced or forged history" segment
-  | Coverage_gap { segment } ->
-    Printf.sprintf "segment list does not tile the records at segment %d" segment
   | Head_mismatch -> "document head is not the re-walked chain head"
   | Final_mac_mismatch -> "closing MAC fails: history truncated or extended"
   | Quote_mismatch m -> Printf.sprintf "quote does not bind this history: %s" m
@@ -328,202 +216,96 @@ let pp_tamper fmt t = Format.pp_print_string fmt (tamper_to_string t)
 
 type summary = { n_records : int; n_segments : int }
 
-exception Bad of string
-
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> s
-  | _ -> raise (Bad (Printf.sprintf "missing string field %S" name))
-
-let int_field name j =
-  match Json.member name j with
-  | Some (Json.Int i) -> i
-  | _ -> raise (Bad (Printf.sprintf "missing int field %S" name))
-
-let list_field name j =
-  match Json.member name j with
-  | Some (Json.List l) -> l
-  | _ -> raise (Bad (Printf.sprintf "missing list field %S" name))
-
-let pass_of_label = function
-  | "symbols" -> Verifier.Symbols
-  | "scan" -> Verifier.Scan
-  | "cfg" -> Verifier.Cfg
-  | "witness" -> Verifier.Witness
-  | other -> raise (Bad (Printf.sprintf "unknown verifier pass %S" other))
+let ( let* ) = Result.bind
 
 let record_of_json j =
-  let verdict_j =
-    match Json.member "verdict" j with
-    | Some (Json.Obj _ as v) -> v
-    | _ -> raise (Bad "missing object field \"verdict\"")
-  in
-  let verdict =
-    match str_field "status" verdict_j with
-    | "accepted" ->
-      Accepted
-        {
-          Verifier.instructions_checked = int_field "instructions" verdict_j;
-          store_annotations = int_field "store_annotations" verdict_j;
-          rsp_annotations = int_field "rsp_annotations" verdict_j;
-          cfi_annotations = int_field "cfi_annotations" verdict_j;
-          prologues = int_field "prologues" verdict_j;
-          epilogues = int_field "epilogues" verdict_j;
-          ssa_checks = int_field "ssa_checks" verdict_j;
-        }
-    | "rejected" ->
-      Rejected
-        {
-          Verifier.pass = pass_of_label (str_field "pass" verdict_j);
-          offset = int_field "offset" verdict_j;
-          reason = str_field "reason" verdict_j;
-        }
-    | other -> raise (Bad (Printf.sprintf "unknown verdict status %S" other))
-  in
-  let cache =
-    match cache_outcome_of_label (str_field "cache" j) with
-    | Some c -> c
-    | None -> raise (Bad "unknown cache outcome")
-  in
-  let mode =
-    match str_field "mode" j with
-    | s when Verifier.mode_of_label s <> None -> s
-    | other -> raise (Bad (Printf.sprintf "unknown verification mode %S" other))
-  in
-  {
-    seq = int_field "seq" j;
-    measurement = str_field "measurement" j;
-    policies = str_field "policies" j;
-    mode;
-    ssa_q = int_field "ssa_q" j;
-    verdict;
-    cache;
-    lane = int_field "lane" j;
-  }
+  let* seq = Field.int "seq" j in
+  let* measurement = Field.str "measurement" j in
+  let* policies = Field.str "policies" j in
+  let* mode = Field.str "mode" j in
+  let* _ = Option.to_result ~none:"unknown verification mode" (Verifier.mode_of_label mode) in
+  let* ssa_q = Field.int "ssa_q" j in
+  let* verdict = Result.bind (Field.get "verdict" j) Verdict_codec.of_json in
+  let* label = Field.str "cache" j in
+  let* cache = Option.to_result ~none:"unknown cache outcome" (cache_outcome_of_label label) in
+  let* lane = Field.int "lane" j in
+  Ok { seq; measurement; policies; mode; ssa_q; verdict = of_result verdict; cache; lane }
+
+let parse sealed doc =
+  Sealed_log.parse sealed ~decode:record_of_json ~canonical ~bound doc
 
 let records_of_doc doc =
-  try
-    if str_field "schema" doc <> schema then
-      raise (Bad (Printf.sprintf "schema is not %S" schema));
-    Ok (List.map record_of_json (list_field "records" doc))
-  with Bad m -> Error m
-
-let hex_decode_field name j =
-  let s = str_field name j in
-  match Hex.decode s with
-  | b -> b
-  | exception Invalid_argument _ ->
-    raise (Bad (Printf.sprintf "field %S is not hex" name))
-
-type parsed_segment = { p_index : int; p_first : int; p_last : int; p_head : bytes; p_mac : bytes }
+  (* structure only: without the platform there is no key, so MAC
+     outcomes are meaningless here and ignored *)
+  let* p = parse (sealed_log Bytes.empty) doc in
+  Sealed_log.all
+    (fun (s : record Sealed_log.segment) ->
+      match s.outcome with
+      | Sealed_log.Verified rs | Bad_mac rs -> Ok rs
+      | Malformed m -> Error m)
+    p.segments
+  |> Result.map List.concat
 
 let verify ~platform doc =
-  let key = Attestation.Platform.sealing_key platform in
-  try
-    if str_field "schema" doc <> schema then
-      raise (Bad (Printf.sprintf "schema is not %S" schema));
-    if str_field "genesis" doc <> genesis then raise (Bad "genesis does not match the schema");
-    let records = List.map record_of_json (list_field "records" doc) in
-    let n = List.length records in
-    let segments =
-      List.map
-        (fun j ->
-          {
-            p_index = int_field "index" j;
-            p_first = int_field "first_seq" j;
-            p_last = int_field "last_seq" j;
-            p_head = hex_decode_field "head" j;
-            p_mac = hex_decode_field "mac" j;
-          })
-        (list_field "segments" doc)
-      |> List.sort (fun a b -> compare a.p_index b.p_index)
-    in
-    let doc_head = hex_decode_field "head" doc in
-    let doc_final_mac = hex_decode_field "final_mac" doc in
-    let quote_j =
-      match Json.member "quote" doc with
-      | Some (Json.Obj _ as q) -> q
-      | _ -> raise (Bad "missing object field \"quote\"")
-    in
-    (* 1. sequence discipline: record i must carry seq i *)
-    let seq_check =
-      let rec go i = function
-        | [] -> None
-        | r :: rest -> if r.seq <> i then Some i else go (i + 1) rest
-      in
-      go 0 records
-    in
-    (match seq_check with
+  let malformed r = Result.map_error (fun m -> Malformed m) r in
+  let* p = malformed (parse (sealed_log (Attestation.Platform.sealing_key platform)) doc) in
+  let* () =
+    malformed
+      (Result.bind (Field.str "genesis" doc) (fun g ->
+           if String.equal g genesis then Ok () else Error "genesis does not match the schema"))
+  in
+  let* segments =
+    malformed
+      (Sealed_log.all
+         (fun (s : record Sealed_log.segment) ->
+           let* head = Field.hex "head" s.fields in
+           match s.outcome with
+           | Sealed_log.Verified rs -> Ok (rs, head, true)
+           | Bad_mac rs -> Ok (rs, head, false)
+           | Malformed m -> Error m)
+         p.segments)
+  in
+  let* doc_head = malformed (Field.hex "head" doc) in
+  let* quote =
+    malformed
+      (let* q = Field.get "quote" doc in
+       let* measurement = Field.hex "measurement" q in
+       let* report_data = Field.hex "report_data" q in
+       let* signature = Field.hex "signature" q in
+       Ok { Attestation.Quote.measurement; report_data; signature })
+  in
+  let records = List.concat_map (fun (rs, _, _) -> rs) segments in
+  (* 1. sequence discipline: record i must carry seq i *)
+  let* () =
+    match List.find_mapi (fun i r -> if r.seq <> i then Some i else None) records with
     | Some index -> Error (Sequence_broken { index })
-    | None ->
-      (* 2. the segment list must tile [0, n) contiguously in order *)
-      let rec tiles expected idx = function
-        | [] -> if expected = n then None else Some idx
-        | s :: rest ->
-          if s.p_index <> idx || s.p_first <> expected || s.p_last < s.p_first
-             || s.p_last >= n
-          then Some idx
-          else tiles (s.p_last + 1) (idx + 1) rest
-      in
-      (match tiles 0 0 segments with
-      | Some segment -> Error (Coverage_gap { segment })
-      | None when n > 0 && segments = [] -> Error (Coverage_gap { segment = 0 })
-      | None ->
-        (* 3. re-walk the chain segment by segment, checking each
-           segment's recorded head and MAC as we cross its boundary *)
-        let arr = Array.of_list records in
-        let rec walk h = function
-          | [] -> Ok h
-          | s :: rest ->
-            let h' = ref h in
-            for i = s.p_first to s.p_last do
-              h' := chain_step !h' (canonical arr.(i))
-            done;
-            if not (Bytes.equal !h' s.p_head) then
-              Error (Chain_mismatch { segment = s.p_index })
-            else if
-              not
-                (Hmac.verify ~key
-                   (mac_body "DEFLECTION-audit-segment-v1"
-                      [
-                        string_of_int s.p_index;
-                        string_of_int s.p_first;
-                        string_of_int s.p_last;
-                        Bytes.to_string h;
-                        Bytes.to_string !h';
-                      ])
-                   ~tag:s.p_mac)
-            then Error (Segment_mac_mismatch { segment = s.p_index })
-            else walk !h' rest
-        in
-        (match walk genesis_raw segments with
-        | Error _ as e -> e
-        | Ok head ->
-          if not (Bytes.equal head doc_head) then Error Head_mismatch
-          else if
-            not
-              (Hmac.verify ~key
-                 (mac_body "DEFLECTION-audit-final-v1"
-                    [ string_of_int n; Bytes.to_string head ])
-                 ~tag:doc_final_mac)
-          then Error Final_mac_mismatch
-          else begin
-            (* 4. the quote must be valid and bind exactly this head *)
-            let quote =
-              {
-                Attestation.Quote.measurement = hex_decode_field "measurement" quote_j;
-                report_data = hex_decode_field "report_data" quote_j;
-                signature = hex_decode_field "signature" quote_j;
-              }
-            in
-            let ias = Attestation.Ias.for_platform platform in
-            let report = Attestation.Ias.verify ias quote in
-            if not report.Attestation.Ias.ok then
-              Error (Quote_mismatch "attestation service rejected the quote")
-            else if not (Bytes.equal report.Attestation.Ias.measurement plane_measurement)
-            then Error (Quote_mismatch "quote measurement is not the audit plane")
-            else if not (Bytes.equal report.Attestation.Ias.report_data head) then
-              Error (Quote_mismatch "quote report data is not the chain head")
-            else Ok { n_records = n; n_segments = List.length segments }
-          end)))
-  with Bad m -> Error (Malformed m)
+    | None -> Ok ()
+  in
+  (* 2. re-walk the chain, checking each segment's recorded head *)
+  let* head =
+    let rec walk h i = function
+      | [] -> Ok h
+      | (rs, seg_head, _) :: rest ->
+        let h = List.fold_left (fun h r -> chain_step h (canonical r)) h rs in
+        if Bytes.equal h seg_head then walk h (i + 1) rest
+        else Error (Chain_mismatch { segment = i })
+    in
+    walk genesis_raw 0 segments
+  in
+  (* 3. every segment MAC; 4. the document head; 5. the closing MAC *)
+  let* () =
+    match List.find_index (fun (_, _, mac_ok) -> not mac_ok) segments with
+    | Some segment -> Error (Segment_mac_mismatch { segment })
+    | None -> Ok ()
+  in
+  let* () = if Bytes.equal head doc_head then Ok () else Error Head_mismatch in
+  let* () = if p.closed then Ok () else Error Final_mac_mismatch in
+  (* 6. the quote must be valid and bind exactly this head *)
+  let report = Attestation.Ias.verify (Attestation.Ias.for_platform platform) quote in
+  if not report.Attestation.Ias.ok then
+    Error (Quote_mismatch "attestation service rejected the quote")
+  else if not (Bytes.equal report.Attestation.Ias.measurement plane_measurement) then
+    Error (Quote_mismatch "quote measurement is not the audit plane")
+  else if not (Bytes.equal report.Attestation.Ias.report_data head) then
+    Error (Quote_mismatch "quote report data is not the chain head")
+  else Ok { n_records = List.length records; n_segments = List.length segments }

@@ -9,16 +9,19 @@
     worker lane that served the session. Records are bound into an
     append-only hash chain
 
-    {v h_0 = SHA256("deflection-audit/1")
+    {v h_0 = SHA256("deflection-audit/2")
    h_i = SHA256(h_(i-1) || canonical(record_i)) v}
 
-    and MAC'd per segment with the enclave sealing key, so the log itself
-    can live on the untrusted host: flipping, dropping, reordering,
-    truncating or splicing records breaks the chain, a segment MAC or the
-    closing MAC. The current chain head is folded into an attestation
-    quote's report data at seal time, binding "this quote => this exact
-    admission history" for a remote verifier holding only the attestation
-    service's view of the platform.
+    and sealed as a {!Sealed_log} under the enclave sealing key: records
+    live inside MAC'd segments, each segment also carries the chain head
+    after its last record, and the closing MAC binds the record count,
+    the segment size and the document head. So the log itself can live
+    on the untrusted host: flipping, dropping, reordering, truncating or
+    splicing records breaks the chain, a segment MAC or the closing MAC.
+    The current chain head is folded into an attestation quote's report
+    data at seal time, binding "this quote => this exact admission
+    history" for a remote verifier holding only the attestation service's
+    view of the platform.
 
     Schedule independence: a gateway batch appends from K domains, so the
     {e order} of records (and thus [seq], [lane] and the chain head) is
@@ -64,9 +67,10 @@ type record = {
 }
 
 val canonical : record -> string
-(** The injective byte serialization hashed into the chain: every field
-    length-prefixed, so no crafted reason string or label can collide
-    with another record's encoding. *)
+(** The injective byte serialization ({!Sealed_log.mac_body}, verdict via
+    {!Verdict_codec.canonical}) hashed into the chain and covered by the
+    segment MAC: no crafted reason string or label can collide with
+    another record's encoding. *)
 
 val content_key : record -> string
 (** {!canonical} with [seq] and [lane] zeroed — the schedule-independent
@@ -80,13 +84,6 @@ val plane_measurement : bytes
     under (the digest of a fixed plane tag: the sealing identity covers
     the audit machinery itself, not any one target binary). *)
 
-val mac_body : string -> string list -> bytes
-(** [mac_body tag fields] — the injective, length-prefixed byte encoding
-    every MAC in this codebase is computed over (domain-separating [tag]
-    first, then each field). Exported so other sealed planes (the server's
-    verdict-cache persistence) share the exact discipline instead of
-    re-inventing a near-miss of it. *)
-
 (** The producer: an append-only, mutex-protected chained log. Safe to
     share across gateway worker domains. *)
 module Log : sig
@@ -96,8 +93,8 @@ module Log : sig
   (** A fresh empty log sealed under [platform]'s sealing key
       ({!Attestation.Platform.sealing_key}). [segment_records] (default
       8, must be positive) is the MAC granularity: every completed run of
-      that many records closes a segment whose MAC covers the segment's
-      span of the chain. *)
+      that many records closes a segment, whose MAC over those records is
+      computed when a seal first covers it. *)
 
   val append :
     t ->
@@ -119,13 +116,15 @@ module Log : sig
   (** In sequence order. *)
 
   val seal : t -> Json.t
-  (** Freeze the current state into a [deflection-audit/1] document:
-      records, closed segments plus a MAC over any trailing partial
-      segment, the chain head, a closing MAC over (count, head) — so even
-      a truncation at a segment boundary is evident — and a platform
-      quote whose report data {e is} the chain head. Non-destructive:
-      the log keeps accepting appends, and sealing again covers the
-      longer history. *)
+  (** Freeze the current state into a [deflection-audit/2] document
+      (generation 0: the log only ever grows): the closed segments plus
+      a sealed trailing partial one, each holding its records and chain
+      head; the document head; a closing MAC over (generation, segment
+      count, record count, segment size, head) — so even a truncation at
+      a segment boundary is evident — the genesis; and a platform quote
+      whose report data {e is} the chain head. Non-destructive: the log
+      keeps accepting appends, and sealing again covers the longer
+      history. *)
 end
 
 (** A log endpoint annotated with the worker lane doing the appending —
@@ -134,7 +133,7 @@ type sink = { log : Log.t; lane : int }
 
 (** First tamper found when re-walking a sealed document. *)
 type tamper =
-  | Malformed of string  (** not a well-formed deflection-audit/1 doc *)
+  | Malformed of string  (** not a well-formed deflection-audit/2 doc *)
   | Sequence_broken of { index : int }
       (** record at position [index] does not carry seq = [index]:
           a drop, reorder or insertion that kept the original numbering *)
@@ -143,13 +142,11 @@ type tamper =
           segment: a record inside it was altered (or renumbered) *)
   | Segment_mac_mismatch of { segment : int }
       (** the segment's MAC does not verify under the sealing key:
-          spliced-in history or a forged segment head *)
-  | Coverage_gap of { segment : int }
-      (** the segment list does not tile the records contiguously *)
+          spliced-in history, a moved segment or a foreign key *)
   | Head_mismatch  (** the document head is not the re-walked head *)
   | Final_mac_mismatch
-      (** the closing MAC over (count, head) fails: truncation or
-          extension of the sealed history *)
+      (** the closing MAC fails: truncation or extension of the sealed
+          history *)
   | Quote_mismatch of string
       (** the embedded quote fails attestation-service verification or
           its report data is not the chain head *)
@@ -160,12 +157,13 @@ val pp_tamper : Format.formatter -> tamper -> unit
 type summary = { n_records : int; n_segments : int }
 
 val verify : platform:Attestation.Platform.t -> Json.t -> (summary, tamper) result
-(** Re-walk a sealed document: recompute the chain from genesis over the
-    canonical form of every record, check every segment MAC, the closing
-    MAC and the quote binding under [platform]'s keys. Detects flips,
-    drops, reorders, truncations and splices; [Ok] iff the document is
-    byte-for-byte the history the enclave sealed. *)
+(** Re-walk a sealed document under [platform]'s keys and report the
+    first tamper, checking in this order: the sequence numbers, the
+    chain (recomputed from genesis) against each segment's head, every
+    segment MAC, the document head, the closing MAC, the quote binding.
+    Detects flips, drops, reorders, truncations and splices; [Ok] iff
+    the document is the history the enclave sealed. Never raises. *)
 
 val records_of_doc : Json.t -> (record list, string) result
 (** Parse just the records (no integrity checks) — the [audit show]
-    rendering path. *)
+    rendering path. Never raises. *)

@@ -27,8 +27,7 @@ type config = {
   policies : Policy.Set.t;
   verification : Verifier.mode;
       (* how ecall_receive_binary verifies deliveries: classic recursive
-         descent, the witness-checked linear pass, or witnessed with a
-         descent fallback on witness-pass rejections *)
+         descent or the witness-checked linear pass *)
   seed : int64;
   oram_capacity : int option;
       (* when set, the manifest's oram_read/oram_write OCalls are backed

@@ -30,10 +30,9 @@ type config = {
   policies : Policy.Set.t;  (** the policy set this enclave enforces *)
   verification : Verifier.mode;
       (** how {!ecall_receive_binary} verifies deliveries — recursive
-          descent ([Descent], the default), the witness-checked linear
-          pass ([Witnessed]), or witnessed with a descent fallback on
-          witness-pass rejections ([Witnessed_fallback]). Part of the
-          measured consumer identity and of the verdict-cache key. *)
+          descent ([Descent], the default) or the witness-checked linear
+          pass ([Witnessed]). Part of the measured consumer identity and
+          of the verdict-cache key. *)
   seed : int64;
   oram_capacity : int option;
       (** when set (and the manifest includes the [oram_*] OCalls, see

@@ -117,9 +117,8 @@ val run :
     the admission decision the delivery ECall renders appends one
     hash-chained record under the sink's worker lane.
     [verification] (default [Verifier.Descent]) selects how the enclave
-    verifies the delivered binary — classic recursive descent, the
-    witness-checked linear pass, or witnessed with a descent fallback on
-    witness-pass rejections; it is folded into the measured consumer
+    verifies the delivered binary — classic recursive descent or the
+    witness-checked linear pass; it is folded into the measured consumer
     identity, the verdict-cache key and every audit record.
 
     [chaos] (default {!Chaos.disabled}) threads a fault-injection engine

@@ -109,27 +109,26 @@ let witness_soundness cfg ~case obj : (unit, failure) result =
       fail Soundness
         ("witnessed tier accepted what the descent rejects: " ^ rejection_str r))
 
-(* Honest-witness fallback invariant: rebuilding the witness from the
-   (possibly mutated) bytes and verifying under [Witnessed_fallback]
-   must give the descent verdict, triple for triple. *)
-let fallback_differential cfg ~case obj : (unit, failure) result =
+(* Honest-rebuild invariant: rebuilding the witness from the (possibly
+   mutated) bytes and verifying under [Witnessed] must give the descent
+   verdict, triple for triple — except that the witnessed tier may reject
+   in its own [Witness] pass (its omission sweep is stricter than the
+   descent on unreachable code). *)
+let rebuild_differential cfg ~case obj : (unit, failure) result =
   let fail kind detail = Error { case; kind; detail } in
   let objw = Verifier.Witness.attach obj in
   let d =
     Verifier.verify_classified ~policies:cfg.policies ~ssa_q:objw.Objfile.ssa_q objw
   in
-  let f =
-    Verifier.verify_mode ~mode:Verifier.Witnessed_fallback ~policies:cfg.policies
-      ~ssa_q:objw.Objfile.ssa_q objw
-  in
-  match (d, f) with
-  | Ok (rd, _), Ok (rf, _) when rd = rf -> Ok ()
+  let w = Verifier.verify_witnessed ~policies:cfg.policies ~ssa_q:objw.Objfile.ssa_q objw in
+  match (d, w) with
+  | _, Error { Verifier.pass = Verifier.Witness; _ } -> Ok ()
+  | Ok (rd, _), Ok (rw, _) when rd = rw -> Ok ()
   | Error a, Error b when a = b -> Ok ()
   | Error _, Ok _ ->
-    fail Soundness "witnessed-fallback accepted a mutant the descent rejects"
+    fail Soundness "witnessed tier accepted a mutant the descent rejects (honest rebuild)"
   | _ ->
-    fail Divergence
-      "witnessed-fallback verdict differs from descent on an honest-witness rebuild"
+    fail Divergence "witnessed verdict differs from descent on an honest-witness rebuild"
 
 (* completeness + differential oracle over an explicit program *)
 let oracle_program cfg ~case ~prog ~source ~inputs : (clean, failure) result =
@@ -188,11 +187,12 @@ let oracle_mutant cfg ~case ~prog_seed ~mutations : (clean, failure) result =
       (Format.asprintf "mutant base program does not compile: %a" Frontend.pp_error e)
   | Ok base -> (
     let obj = Mutate.apply base mutations in
-    (* witness-tier invariants on the mutant: an honest rebuilt witness
-       makes the fallback tier agree with the descent triple for triple,
-       and the pure witnessed tier never out-accepts the descent *)
+    (* witness-tier invariants on the mutant: under an honest rebuilt
+       witness the witnessed tier agrees with the descent triple for
+       triple unless it rejects in its own pass, and it never out-accepts
+       the descent *)
     let objw = Verifier.Witness.attach obj in
-    match fallback_differential cfg ~case objw with
+    match rebuild_differential cfg ~case objw with
     | Error f -> Error f
     | Ok () -> (
     match witness_soundness cfg ~case objw with

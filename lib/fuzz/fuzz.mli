@@ -20,12 +20,13 @@
     - {b witness differential}: on every compiler output (which carries
       an honest witness) the pure witnessed tier must reproduce the
       descent verdict exactly — report, classification, and on rejection
-      the (pass, offset, reason) triple; on every binary mutant, an
-      honest {e rebuilt} witness must make [Witnessed_fallback] agree
-      with the descent triple for triple, and a pure-witnessed
-      acceptance must coincide with a descent acceptance (a witnessed
-      rejection of a descent-accepted mutant is allowed: the
-      unclaimed-offset sweep is strictly sounder on unreachable code);
+      the (pass, offset, reason) triple; on every binary mutant, under
+      an honest {e rebuilt} witness the witnessed tier must agree with
+      the descent triple for triple unless it rejects in its own
+      [Witness] pass, and a pure-witnessed acceptance must coincide with
+      a descent acceptance (a witnessed rejection of a descent-accepted
+      mutant is allowed: the unclaimed-offset sweep is strictly sounder
+      on unreachable code);
     - {b witness soundness}: every {!case.Witness_mutant} — a doctored
       witness over a compliant base — must be rejected by the witnessed
       tier, or (when the mutation degenerated to a no-op) produce

@@ -123,9 +123,9 @@ val run_batch :
     batch's determinism contract.
 
     [verification] (default [Verifier.Descent]) selects each session's
-    verification mode (descent, witnessed, witnessed with fallback) —
-    part of every enclave's measured identity and of the verdict-cache
-    key, so batches under different modes never share cache entries.
+    verification mode (descent or witnessed) — part of every enclave's
+    measured identity and of the verdict-cache key, so batches under
+    different modes never share cache entries.
 
     [tm] (default {!Telemetry.disabled}) is the batch-level registry: the
     dispatch runs under a [gateway.batch] root span on it, and when it is

@@ -21,5 +21,8 @@ val total_kloc : runtime -> float
 
 val reproduction_components : unit -> component list
 (** This repository's trusted-consumer inventory (loader, verifier, imm
-    rewriter, OCall wrappers, attestation), in kLoC, measured from the
-    OCaml sources at packaging time. *)
+    rewriter, OCall wrappers, attestation), in kLoC: the line counts of
+    [lib/loader/loader.ml]; [lib/verifier/verifier.ml] +
+    [lib/isa/codec.ml]; [lib/core/bootstrap.ml]; and
+    [lib/attestation/attestation.ml] + [lib/crypto/*.ml], taken at build
+    time. *)

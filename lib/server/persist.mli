@@ -6,14 +6,17 @@
     re-verification} of the affected entries — never to admitting from a
     forged verdict, never to refusing to start.
 
-    The on-disk document ([deflection-server-cache/1]) reuses the audit
-    plane's sealing discipline: entries are grouped into segments, each
-    segment carries an HMAC-SHA256 under the platform sealing key
-    ({!Deflection_attestation.Attestation.Platform.sealing_key}) over the
-    injective {!Deflection_audit.Audit.mac_body} encoding of (generation,
-    segment position, entry bytes), and a closing MAC binds (generation,
-    segment count, entry count). Consequences, each pinned by
-    [suite_server]:
+    The on-disk document ([deflection-server-cache/2]) is a
+    {!Deflection_audit.Sealed_log}, the audit plane's own format: entries
+    are grouped into segments, each segment carries an HMAC-SHA256 under
+    the platform sealing key
+    ({!Deflection_attestation.Attestation.Platform.sealing_key}) over
+    (generation, segment position, the entries' canonical bytes), and the
+    closing MAC binds (generation, segment count, entry count) — the
+    cache adds no bound fields of its own. Each entry's verdict uses
+    {!Deflection_audit.Verdict_codec}, plus the classification offsets of
+    an acceptance. Consequences, each pinned by the tamper table the
+    [audit] and [server] suites share:
 
     - a bit flip inside a segment, a spliced/reordered segment, a segment
       replayed from an older generation, or a file sealed by a different

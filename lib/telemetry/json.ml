@@ -142,9 +142,11 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digits = String.sub s !pos 4 in
+    let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    if not (String.for_all is_hex digits) then fail "invalid \\u escape";
     pos := !pos + 4;
-    v
+    int_of_string ("0x" ^ digits)
   in
   let parse_string () =
     expect '"';

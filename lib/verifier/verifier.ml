@@ -15,17 +15,20 @@ let pass_label = function
   | Cfg -> "cfg"
   | Witness -> "witness"
 
-type mode = Descent | Witnessed | Witnessed_fallback
+let pass_of_label = function
+  | "symbols" -> Some Symbols
+  | "scan" -> Some Scan
+  | "cfg" -> Some Cfg
+  | "witness" -> Some Witness
+  | _ -> None
 
-let mode_label = function
-  | Descent -> "descent"
-  | Witnessed -> "witnessed"
-  | Witnessed_fallback -> "witnessed-fallback"
+type mode = Descent | Witnessed
+
+let mode_label = function Descent -> "descent" | Witnessed -> "witnessed"
 
 let mode_of_label = function
   | "descent" -> Some Descent
   | "witnessed" -> Some Witnessed
-  | "witnessed-fallback" | "witnessed_fallback" -> Some Witnessed_fallback
   | _ -> None
 
 type rejection = { pass : pass; offset : int; reason : string }
@@ -57,8 +60,7 @@ let reject offset reason = raise (Reject (offset, reason))
 (* A witness-specific rejection: the binary may well be compliant, but the
    witness lied about it (or went stale). Kept distinct from [Reject] so
    the catcher can attribute it to the [Witness] pass even when it fires
-   in the middle of the scan replay, and so [Witnessed_fallback] knows
-   which rejections are eligible for a descent re-run. *)
+   in the middle of the scan replay. *)
 exception Reject_w of int * string
 
 let wreject offset reason = raise (Reject_w (offset, reason))
@@ -727,9 +729,8 @@ let scan_run st start =
    look at must still be benign under the witness's claims — an unclaimed
    (or mis-claimed) store, RSP write, indirect branch or shadow-stack
    write anywhere in the text rejects. This is deliberately stricter than
-   the descent (which ignores unreachable bytes); [Witnessed_fallback]
-   recovers descent-equal verdicts for honest witnesses over such
-   binaries by re-running the descent on any witness-pass rejection.
+   the descent (which ignores unreachable bytes): a host whose binary it
+   rejects can resubmit it for [Descent] verification.
    Pure matching only (find_*/match_template): report counters must stay
    byte-identical to the descent's, which never counts unreachable code. *)
 
@@ -1052,15 +1053,6 @@ let verify_mode ?(tm = Telemetry.disabled) ~mode ~policies ~ssa_q (obj : Objfile
   match mode with
   | Descent -> verify_classified ~tm ~policies ~ssa_q obj
   | Witnessed -> verify_witnessed ~tm ~policies ~ssa_q obj
-  | Witnessed_fallback -> (
-    match verify_witnessed ~tm ~policies ~ssa_q obj with
-    | Error { pass = Witness; _ } ->
-      (* only witness-attributed rejections fall back: the binary itself
-         was never proven bad, only the witness (absent, stale or lying),
-         so the descent re-derives the ground-truth verdict *)
-      Telemetry.count tm "verifier.witness.fallback" 1;
-      verify_classified ~tm ~policies ~ssa_q obj
-    | v -> v)
 
 (* ------------------------------------------------------------------ *)
 (* Witness construction: the untrusted generator's side. Shares the

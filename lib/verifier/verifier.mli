@@ -32,21 +32,21 @@ type pass = Symbols | Scan | Cfg | Witness
 val pass_label : pass -> string
 (** ["symbols"] | ["scan"] | ["cfg"] | ["witness"]. *)
 
+val pass_of_label : string -> pass option
+(** Inverse of {!pass_label}; [None] for any other string. *)
+
 (** How a binary is verified (threaded through
     [Bootstrap.config.verification]):
 
     - [Descent] — the classic recursive-descent discovery above.
     - [Witnessed] — {!verify_witnessed}: one linear witness-checked pass.
       Requires a witness; strictly sounder than descent (a witness-pass
-      rejection may fire on dead code the descent never looks at).
-    - [Witnessed_fallback] — witnessed first; on any [Witness]-pass
-      rejection re-runs the descent, so honest witnesses always yield the
-      descent's exact verdict while still paying the linear-scan price on
-      the common path. *)
-type mode = Descent | Witnessed | Witnessed_fallback
+      rejection may fire on dead code the descent never looks at, and
+      the host can resubmit such a binary under [Descent]). *)
+type mode = Descent | Witnessed
 
 val mode_label : mode -> string
-(** ["descent"] | ["witnessed"] | ["witnessed-fallback"]. *)
+(** ["descent"] | ["witnessed"]. *)
 
 val mode_of_label : string -> mode option
 
@@ -156,9 +156,7 @@ val verify_mode :
   ssa_q:int ->
   Objfile.t ->
   (report * classification, rejection) result
-(** Dispatch on {!mode}. [Witnessed_fallback] counts
-    ["verifier.witness.fallback"] on [tm] each time a [Witness]-pass
-    rejection sends it back to the descent. *)
+(** Dispatch on {!mode}. *)
 
 (** Witness construction — the untrusted generator's half of the
     proof-carrying admission protocol (ROADMAP item 3). *)

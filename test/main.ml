@@ -28,4 +28,5 @@ let () =
       ("gateway", Suite_gateway.suite);
       ("audit", Suite_audit.suite);
       ("server", Suite_server.suite);
+      ("sealed-log", Suite_sealed_log.suite);
     ]

@@ -1,71 +1,21 @@
-(* The attested admission audit plane: hash-chain seal/verify round
-   trips, detection of every tamper class (flip, drop, reorder,
-   renumbered swap, truncation at a segment boundary, spliced segment,
-   forged quote, wrong platform), the quote binding of a fan-out batch's
-   chain head, and schedule independence of the record content multiset
-   (K=1 vs K=4). *)
+(* The attested admission audit plane: seal/verify round trips, the
+   quote binding of a fan-out batch's chain head, and schedule
+   independence of the record content multiset (K=1 vs K=4). The tamper
+   taxonomy (flip, drop, reorder, renumbered swap, truncation at a
+   segment boundary, spliced segment, forged quote, wrong platform) is
+   the audit half of the tamper table in [Suite_sealed_log]. *)
 
 module Audit = Deflection_audit.Audit
 module Gateway = Deflection_gateway.Gateway
 module Session = Deflection.Session
 module Policy = Deflection_policy.Policy
 module Verifier = Deflection_verifier.Verifier
-module Attestation = Deflection_attestation.Attestation
 module Sha256 = Deflection_crypto.Sha256
 module Json = Deflection_telemetry.Json
 
-let platform () = Attestation.Platform.create ~seed:77L
-
-let accepted_report i =
-  Audit.Accepted
-    {
-      Verifier.instructions_checked = 100 + i;
-      store_annotations = 3;
-      rsp_annotations = 2;
-      cfi_annotations = 1;
-      prologues = 1;
-      epilogues = 1;
-      ssa_checks = 4;
-    }
-
-let rejected_verdict =
-  Audit.Rejected { Verifier.pass = Verifier.Scan; offset = 6; reason = "planted rejection" }
-
-(* a log of [n] synthetic admissions: distinct measurements, one planted
-   rejection at seq 2, lanes cycling over 2 workers *)
-let sample_log ?(segment_records = 2) ?(n = 5) ?(tag = "binary") plat =
-  let log = Audit.Log.create ~segment_records ~platform:plat () in
-  for i = 0 to n - 1 do
-    let verdict = if i = 2 then rejected_verdict else accepted_report i in
-    ignore
-      (Audit.Log.append log
-         ~measurement:(Sha256.digest_string (Printf.sprintf "%s-%d" tag i))
-         ~policies:Policy.Set.p1_p6 ~mode:Verifier.Descent ~ssa_q:20 ~verdict
-         ~cache:(if i = 0 then Audit.Miss else Audit.Hit)
-         ~lane:(i mod 2))
-  done;
-  log
-
-let check_ok what plat doc =
-  match Audit.verify ~platform:plat doc with
-  | Ok s -> s
-  | Error t -> Alcotest.failf "%s: unexpected tamper: %s" what (Audit.tamper_to_string t)
-
-let check_tamper what expect plat doc =
-  match Audit.verify ~platform:plat doc with
-  | Ok _ -> Alcotest.failf "%s: tampered document verified clean" what
-  | Error t ->
-    if not (expect t) then
-      Alcotest.failf "%s: wrong tamper class: %s" what (Audit.tamper_to_string t)
-
-(* structural JSON surgery helpers: the adversary edits the sealed
-   document on the untrusted host *)
-let update name f = function
-  | Json.Obj fields ->
-    Json.Obj (List.map (fun (k, v) -> if k = name then (k, f v) else (k, v)) fields)
-  | j -> j
-
-let update_records f = update "records" (function Json.List l -> Json.List (f l) | j -> j)
+let platform = Suite_sealed_log.platform
+let sample_log = Suite_sealed_log.sample_log
+let check_ok = Suite_sealed_log.check_ok
 
 let nth_str name j =
   match Json.member name j with Some (Json.Str s) -> s | _ -> Alcotest.failf "no %S" name
@@ -87,112 +37,6 @@ let test_text_roundtrip () =
   | Error e -> Alcotest.failf "reparse failed: %s" e
   | Ok doc -> ignore (check_ok "text roundtrip" plat doc)
 
-let test_flip_detected () =
-  let plat = platform () in
-  let doc = Audit.Log.seal (sample_log plat) in
-  let flipped =
-    update_records (List.map (update "ssa_q" (function Json.Int q -> Json.Int (q + 1) | j -> j))) doc
-  in
-  check_tamper "field flip" (function Audit.Chain_mismatch _ -> true | _ -> false) plat flipped
-
-let test_drop_detected () =
-  let plat = platform () in
-  let doc = Audit.Log.seal (sample_log plat) in
-  let dropped = update_records (List.filteri (fun i _ -> i <> 2)) doc in
-  check_tamper "record drop"
-    (function Audit.Sequence_broken { index = 2 } -> true | _ -> false)
-    plat dropped
-
-let swap i j l =
-  List.mapi (fun k x -> if k = i then List.nth l j else if k = j then List.nth l i else x) l
-
-let test_reorder_detected () =
-  let plat = platform () in
-  let doc = Audit.Log.seal (sample_log plat) in
-  let reordered = update_records (swap 1 2) doc in
-  check_tamper "reorder" (function Audit.Sequence_broken _ -> true | _ -> false) plat reordered
-
-let test_renumbered_swap_detected () =
-  (* the adversary swaps two records AND patches their seq fields so the
-     numbering looks clean — the chain still diverges *)
-  let plat = platform () in
-  let doc = Audit.Log.seal (sample_log plat) in
-  let renumber i = update "seq" (fun _ -> Json.Int i) in
-  let tampered =
-    update_records (fun l -> List.mapi (fun i r -> renumber i r) (swap 1 2 l)) doc
-  in
-  check_tamper "renumbered swap"
-    (function Audit.Chain_mismatch _ -> true | _ -> false)
-    plat tampered
-
-let test_truncation_at_segment_boundary () =
-  (* the strongest truncation: cut exactly at a segment boundary and
-     retarget the head, so chain, sequence and every remaining segment
-     MAC all verify — only the closing MAC gives it away *)
-  let plat = platform () in
-  let doc = Audit.Log.seal (sample_log ~segment_records:2 ~n:4 plat) in
-  let seg0_head =
-    match Json.member "segments" doc with
-    | Some (Json.List (s0 :: _)) -> nth_str "head" s0
-    | _ -> Alcotest.fail "no segments"
-  in
-  let truncated =
-    doc
-    |> update_records (List.filteri (fun i _ -> i < 2))
-    |> update "segments" (function Json.List (s0 :: _) -> Json.List [ s0 ] | j -> j)
-    |> update "head" (fun _ -> Json.Str seg0_head)
-  in
-  check_tamper "truncation"
-    (function Audit.Final_mac_mismatch -> true | _ -> false)
-    plat truncated
-
-let test_spliced_segment_detected () =
-  (* graft a segment MAC from a second log sealed under the SAME
-     platform: the key is right, the covered span is not *)
-  let plat = platform () in
-  let doc = Audit.Log.seal (sample_log plat) in
-  let other = Audit.Log.seal (sample_log ~n:3 ~tag:"donor" plat) in
-  let other_mac =
-    match Json.member "segments" other with
-    | Some (Json.List (s0 :: _)) -> nth_str "mac" s0
-    | _ -> Alcotest.fail "no segments in donor log"
-  in
-  let spliced =
-    update "segments"
-      (function
-        | Json.List (s0 :: rest) ->
-          Json.List (update "mac" (fun _ -> Json.Str other_mac) s0 :: rest)
-        | j -> j)
-      doc
-  in
-  check_tamper "splice"
-    (function Audit.Segment_mac_mismatch { segment = 0 } -> true | _ -> false)
-    plat spliced
-
-let test_forged_quote_detected () =
-  let plat = platform () in
-  let doc = Audit.Log.seal (sample_log plat) in
-  let forged =
-    update "quote"
-      (update "signature" (function
-        | Json.Str s ->
-          let b = Bytes.of_string s in
-          Bytes.set b 0 (if Bytes.get b 0 = '0' then '1' else '0');
-          Json.Str (Bytes.to_string b)
-        | j -> j))
-      doc
-  in
-  check_tamper "forged quote" (function Audit.Quote_mismatch _ -> true | _ -> false) plat forged
-
-let test_wrong_platform_rejected () =
-  (* a verifier holding a different platform's keys must not accept the
-     log — the sealing key never leaves the platform derivation *)
-  let doc = Audit.Log.seal (sample_log (platform ())) in
-  check_tamper "wrong platform"
-    (function _ -> true)
-    (Attestation.Platform.create ~seed:78L)
-    doc
-
 let test_seal_is_nondestructive () =
   let plat = platform () in
   let log = sample_log plat in
@@ -201,7 +45,7 @@ let test_seal_is_nondestructive () =
     (Audit.Log.append log
        ~measurement:(Sha256.digest_string "late-binary")
        ~policies:Policy.Set.p1_p6 ~mode:Verifier.Descent ~ssa_q:20
-       ~verdict:(accepted_report 9) ~cache:Audit.Miss
+       ~verdict:(Audit.Accepted (Suite_sealed_log.report 9)) ~cache:Audit.Miss
        ~lane:0);
   let second = Audit.Log.seal log in
   let a = check_ok "first seal" plat first in
@@ -301,18 +145,10 @@ let suite =
   [
     Alcotest.test_case "seal/verify round trip" `Quick test_seal_verify_roundtrip;
     Alcotest.test_case "text round trip" `Quick test_text_roundtrip;
-    Alcotest.test_case "field flip detected" `Quick test_flip_detected;
-    Alcotest.test_case "record drop detected" `Quick test_drop_detected;
-    Alcotest.test_case "reorder detected" `Quick test_reorder_detected;
-    Alcotest.test_case "renumbered swap detected" `Quick test_renumbered_swap_detected;
-    Alcotest.test_case "truncation at segment boundary detected" `Quick
-      test_truncation_at_segment_boundary;
-    Alcotest.test_case "spliced segment detected" `Quick test_spliced_segment_detected;
-    Alcotest.test_case "forged quote detected" `Quick test_forged_quote_detected;
-    Alcotest.test_case "wrong platform rejected" `Quick test_wrong_platform_rejected;
     Alcotest.test_case "seal is non-destructive" `Quick test_seal_is_nondestructive;
     Alcotest.test_case "k=4 head binds the quote" `Quick test_batch_head_binds_quote;
     Alcotest.test_case "content multiset schedule-independent" `Quick
       test_content_multiset_schedule_independent;
     Alcotest.test_case "standalone session audit" `Quick test_session_standalone_audit;
   ]
+  @ Suite_sealed_log.cases ~audit:true

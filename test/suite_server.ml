@@ -1,15 +1,15 @@
 (* The persistent multi-tenant gateway server: single-flight poison
    recovery (the regression this PR pins), epoch-LRU trim determinism and
    namespace isolation, typed overload shedding, K=1 vs K=4 byte-identical
-   reports, sealed-cache crash recovery, per-tamper-class degradation of
-   the persisted verdict cache, and the seeded chaos campaign. *)
+   reports, sealed-cache crash recovery and the seeded chaos campaign.
+   The per-tamper-class degradation of the persisted verdict cache is the
+   cache half of the tamper table in [Suite_sealed_log]. *)
 
 module Server = Deflection_server.Server
 module Persist = Deflection_server.Persist
 module Verifier = Deflection_verifier.Verifier
 module Policy = Deflection_policy.Policy
 module Attestation = Deflection_attestation.Attestation
-module Chaos = Deflection_chaos.Chaos
 module Json = Deflection_telemetry.Json
 
 let mkkey s = Verifier.Cache.key ~mode:Verifier.Descent ~policies:Policy.Set.p1_p6 ~ssa_q:20 ~serialized:(Bytes.of_string s)
@@ -27,15 +27,7 @@ let ok_verdict n =
       },
       Verifier.classification_of_offsets ~machinery:[] ~guarded_stores:[] )
 
-let temp_dir name =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) ("deflection-test-" ^ name) in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.iter
-    (fun f ->
-      let p = Filename.concat dir f in
-      if Sys.file_exists p then Sys.remove p)
-    [ "verdict-cache.json"; "verdict-cache.json.1"; "verdict-cache.json.tmp" ];
-  dir
+let temp_dir = Suite_sealed_log.temp_dir
 
 (* ------------------------------------------------------------------ *)
 (* single-flight poison recovery *)
@@ -330,139 +322,6 @@ let test_cross_mode_state_not_warmed () =
   Alcotest.(check int) "witnessed replay fully warm" 0 (geti (Server.doc s3) "cold_misses")
 
 (* ------------------------------------------------------------------ *)
-(* per-tamper-class degradation of the sealed cache *)
-
-let sealed_state ~dir =
-  (* produce a real multi-segment sealed file by serving a small load *)
-  let cfg = small_cfg ~state_dir:(Some dir) () in
-  let s = Server.create cfg in
-  (match Server.serve_load s ~offered:30 ~rounds:3 ~kill_after:None with
-  | `Done -> ()
-  | `Killed -> Alcotest.fail "unexpected kill");
-  Attestation.Platform.create ~seed:cfg.Server.seed
-
-let reload ?chaos ~dir ~platform () =
-  let p = Persist.create ~segment_entries:3 ~dir ~platform () in
-  Persist.load ?chaos p
-
-let with_doc dir f =
-  let path = Filename.concat dir "verdict-cache.json" in
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let doc = match Json.parse s with Ok d -> d | Error e -> Alcotest.fail e in
-  let doc' = f doc in
-  let oc = open_out_bin path in
-  output_string oc (Json.to_string doc');
-  close_out oc
-
-let segments_of doc =
-  match Json.member "segments" doc with Some (Json.List l) -> l | _ -> Alcotest.fail "no segments"
-
-let set_segments doc segs =
-  match doc with
-  | Json.Obj kvs ->
-    Json.Obj (List.map (fun (k, v) -> if k = "segments" then (k, Json.List segs) else (k, v)) kvs)
-  | _ -> Alcotest.fail "state doc is not an object"
-
-let count_bad report =
-  List.length
-    (List.filter
-       (function Persist.Seg_bad_mac | Persist.Seg_malformed -> true | Persist.Seg_loaded _ -> false)
-       report.Persist.segments)
-
-let test_tamper_bit_flip () =
-  let dir = temp_dir "flip" in
-  let platform = sealed_state ~dir in
-  with_doc dir (fun doc ->
-      let segs = segments_of doc in
-      Alcotest.(check bool) "multi-segment file" true (List.length segs >= 2);
-      let flipped =
-        List.mapi
-          (fun i seg ->
-            if i <> 0 then seg
-            else
-              match seg with
-              | Json.Obj kvs ->
-                Json.Obj
-                  (List.map
-                     (fun (k, v) ->
-                       match (k, v) with
-                       | "mac", Json.Str m ->
-                         ("mac", Json.Str ((if m.[0] = '0' then "1" else "0") ^ String.sub m 1 (String.length m - 1)))
-                       | kv -> kv)
-                     kvs)
-              | _ -> seg)
-          segs
-      in
-      set_segments doc flipped);
-  let entries, report = reload ~dir ~platform () in
-  Alcotest.(check bool) "found" true report.Persist.found;
-  Alcotest.(check bool) "not torn" false report.Persist.malformed;
-  Alcotest.(check int) "exactly the flipped segment discarded" 1 report.Persist.segments_discarded;
-  Alcotest.(check int) "typed bad segment" 1 (count_bad report);
-  Alcotest.(check bool) "other segments still load" true (entries <> [])
-
-let test_tamper_splice_reorder () =
-  let dir = temp_dir "splice" in
-  let platform = sealed_state ~dir in
-  with_doc dir (fun doc ->
-      match segments_of doc with
-      | a :: b :: rest -> set_segments doc (b :: a :: rest)
-      | _ -> Alcotest.fail "need two segments to splice");
-  let _, report = reload ~dir ~platform () in
-  (* both moved segments carry MACs bound to their original position *)
-  Alcotest.(check int) "both spliced segments discarded" 2 report.Persist.segments_discarded;
-  Alcotest.(check bool) "found, not torn" true (report.Persist.found && not report.Persist.malformed)
-
-let test_tamper_truncated_tail () =
-  let dir = temp_dir "trunc" in
-  let platform = sealed_state ~dir in
-  with_doc dir (fun doc ->
-      match List.rev (segments_of doc) with
-      | _ :: kept -> set_segments doc (List.rev kept)
-      | [] -> Alcotest.fail "no segments");
-  let entries, report = reload ~dir ~platform () in
-  Alcotest.(check bool) "truncation detected by the closing MAC" true report.Persist.truncated;
-  Alcotest.(check bool) "surviving segments still load" true (entries <> [])
-
-let test_tamper_torn_write () =
-  let dir = temp_dir "torn" in
-  let platform = sealed_state ~dir in
-  let path = Filename.concat dir "verdict-cache.json" in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic (n / 2) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc;
-  let entries, report = reload ~dir ~platform () in
-  Alcotest.(check bool) "torn file is malformed" true report.Persist.malformed;
-  Alcotest.(check int) "nothing loads from a torn file" 0 (List.length entries)
-
-let test_tamper_wrong_platform () =
-  let dir = temp_dir "wrongplat" in
-  ignore (sealed_state ~dir);
-  let other = Attestation.Platform.create ~seed:999L in
-  let entries, report = reload ~dir ~platform:other () in
-  Alcotest.(check int) "no entries under a foreign sealing key" 0 (List.length entries);
-  Alcotest.(check bool) "every segment typed bad" true
-    (report.Persist.segments_discarded = List.length report.Persist.segments
-    && report.Persist.segments_discarded > 0)
-
-let test_tamper_stale_segment_replay () =
-  let dir = temp_dir "stale" in
-  let platform = sealed_state ~dir in
-  (* the chaos fault splices a segment from the rotated previous
-     generation into the current file: its MAC carries the old
-     generation, so exactly that segment dies *)
-  let chaos = Chaos.of_plan { Chaos.seed = 1L; faults = [ Chaos.Stale_segment { segment = 0 } ] } in
-  let entries, report = reload ~chaos ~dir ~platform () in
-  Alcotest.(check int) "stale segment discarded" 1 report.Persist.segments_discarded;
-  Alcotest.(check bool) "rest still loads" true (entries <> [])
-
-(* ------------------------------------------------------------------ *)
 (* chaos campaign *)
 
 let test_chaos_campaign_zero_violations () =
@@ -493,11 +352,6 @@ let suite =
     Alcotest.test_case "fuel quota tenant exits 11" `Quick test_fuel_quota_tenant;
     Alcotest.test_case "restart serves warm" `Quick test_restart_serves_warm;
     Alcotest.test_case "cross-mode state not warmed" `Quick test_cross_mode_state_not_warmed;
-    Alcotest.test_case "tamper: segment bit flip" `Quick test_tamper_bit_flip;
-    Alcotest.test_case "tamper: splice/reorder" `Quick test_tamper_splice_reorder;
-    Alcotest.test_case "tamper: truncated tail" `Quick test_tamper_truncated_tail;
-    Alcotest.test_case "tamper: torn write" `Quick test_tamper_torn_write;
-    Alcotest.test_case "tamper: wrong platform" `Quick test_tamper_wrong_platform;
-    Alcotest.test_case "tamper: stale segment replay" `Quick test_tamper_stale_segment_replay;
     Alcotest.test_case "chaos campaign: zero violations" `Quick test_chaos_campaign_zero_violations;
   ]
+  @ Suite_sealed_log.cases ~audit:false

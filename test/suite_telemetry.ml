@@ -177,6 +177,13 @@ let test_json_string_escapes () =
   (match Json.parse {|"\ud83d oops"|} with
   | Ok (Json.Str s) -> Alcotest.(check string) "lone surrogate" "\xef\xbf\xbd oops" s
   | Ok _ | Error _ -> Alcotest.fail "lone surrogate not handled");
+  (* a \u escape with non-hex digits is an error, never an exception *)
+  List.iter
+    (fun bad ->
+      match Json.parse bad with
+      | Ok _ -> Alcotest.failf "bad escape %s accepted" bad
+      | Error _ -> ())
+    [ {|"\uzz12"|}; {|"\u_123"|}; {|"\u+123"|} ];
   (* raw control characters inside strings are invalid JSON *)
   match Json.parse "\"a\nb\"" with
   | Ok _ -> Alcotest.fail "raw newline accepted in string"

@@ -502,8 +502,21 @@ let qcheck_accepted_mutants_do_not_leak =
         | Error _ -> true
         | Ok stats -> stats.Helpers.Bootstrap.leaked_bytes = 0))
 
+let test_pass_labels_round_trip () =
+  (* the sealed planes store the rejecting pass by label and parse it
+     back: every pass survives, nothing else parses *)
+  List.iter
+    (fun p ->
+      let label = Verifier.pass_label p in
+      Alcotest.(check bool) label true (Verifier.pass_of_label label = Some p))
+    [ Verifier.Symbols; Scan; Cfg; Witness ];
+  List.iter
+    (fun label -> Alcotest.(check bool) label true (Verifier.pass_of_label label = None))
+    [ ""; "Scan"; "descent"; "witness " ]
+
 let suite =
   [
+    Alcotest.test_case "pass labels round-trip" `Quick test_pass_labels_round_trip;
     Alcotest.test_case "accepts compiler output (all policies)" `Quick
       test_accepts_compiler_output_all_policies;
     Alcotest.test_case "report counts" `Quick test_report_counts;

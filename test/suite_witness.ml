@@ -196,22 +196,6 @@ let test_taxonomy_every_omittable_site_kind () =
           { base with Objfile.witness = Some { w with Objfile.w_sites = sites } })
     [ Objfile.Wstore; Objfile.Wcfi; Objfile.Wprologue; Objfile.Wepilogue ]
 
-let test_fallback_rescues_honest_binaries_only () =
-  let base = compile rich_src in
-  (* a digest-flipped witness is a Witness-pass failure: the fallback tier
-     re-runs the descent and admits the (actually compliant) binary *)
-  let obj = Mutate.apply_witness base [ Mutate.Wflip_digest ] in
-  (match
-     Verifier.verify_mode ~mode:Verifier.Witnessed_fallback ~policies:Policy.Set.p1_p6
-       ~ssa_q:20 obj
-   with
-  | Ok (r, _) ->
-    let d = Verifier.verify ~policies:Policy.Set.p1_p6 ~ssa_q:20 obj in
-    Alcotest.(check bool) "fallback verdict is the descent verdict" true (d = Ok r)
-  | Error r -> Alcotest.failf "fallback did not rescue a compliant binary: %s" (rejection_str r));
-  (* pure witnessed mode has no such mercy *)
-  expect_witness_reject "pure witnessed, flipped digest" obj
-
 (* ------------------------------------------------------------------ *)
 (* Replay and shrink forms *)
 
@@ -285,7 +269,6 @@ let suite =
     Alcotest.test_case "differential: rejection triples" `Quick test_differential_rejection_triples;
     Alcotest.test_case "taxonomy: each lie class rejected" `Quick test_taxonomy_each_class_rejected;
     Alcotest.test_case "taxonomy: omission per site kind" `Quick test_taxonomy_every_omittable_site_kind;
-    Alcotest.test_case "fallback rescues honest binaries only" `Quick test_fallback_rescues_honest_binaries_only;
     Alcotest.test_case "witness-mutant case replays" `Quick test_witness_mutant_case_replays;
     Alcotest.test_case "witness-mutant shrink keeps shape" `Quick test_witness_mutant_shrink_keeps_shape;
     Alcotest.test_case "witness campaign clean" `Quick test_witness_campaign_clean;
