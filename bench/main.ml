@@ -4,8 +4,9 @@
      dune exec bench/main.exe                 -- all experiments
      dune exec bench/main.exe -- table2 fig7  -- a subset
      dune exec bench/main.exe -- --quick      -- reduced sweeps
-     dune exec bench/main.exe -- micro        -- Bechamel wall-clock micro
-                                                 benches of the consumer
+
+   Sections: table1, table2, tier, fig7..fig11, ablation, related,
+   profile, chaos, fuzz.
 
    Overheads are deterministic virtual-cycle ratios (see DESIGN.md);
    absolute magnitudes need not match the paper's SGX testbed, the shapes
@@ -13,10 +14,10 @@
 
    Besides the console tables, every run writes its results as JSON to
    bench/results/latest.json under the deflection-bench/1 schema
-   (`json_check --bench` gates on it), plus a history entry
-   bench/results/history/<unix-stamp>-<git-rev>.json so `deflectionc
-   benchdiff` can compare the current run against the median of recent
-   runs. History retention is bounded (see [history_keep]). *)
+   (`json_check --bench` gates on it). Wall-clock regressions are the
+   business of bench/e2e and its BENCHMARK.json bounds; the structural
+   counters (trace-tier coverage, verifier decodes, Table II cycles) are
+   pinned by goldens under `dune runtest`. *)
 
 module W = Deflection_workloads
 module Profiler = Deflection_forensics.Profiler
@@ -45,57 +46,15 @@ let results_dir = Filename.concat "bench" "results"
 
 let ensure_dir d = try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-let history_dir = Filename.concat results_dir "history"
-
-(* Retention knob: every run stamps a history entry; keep only the
-   newest DEFLECTION_BENCH_HISTORY_KEEP (default 5, minimum 1) so local
-   checkouts don't accumulate results forever. Raise it on machines that
-   serve as long-term baselines, e.g.
-
-     DEFLECTION_BENCH_HISTORY_KEEP=50 dune exec bench/main.exe
-
-   `deflectionc benchdiff --history-depth N` reads at most the N newest
-   entries, so the comparator never needs more history than this keeps. *)
-let history_keep =
-  match Option.bind (Sys.getenv_opt "DEFLECTION_BENCH_HISTORY_KEEP") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 5
-
-(* History entries are keyed by the git revision that produced them, so a
-   regression surfaced by benchdiff names the offending commit. Falls back
-   to "unknown" outside a git checkout (e.g. a release tarball). *)
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
-
-let prune_history () =
-  let entries =
-    Sys.readdir history_dir |> Array.to_list
-    |> List.filter (fun n -> Filename.check_suffix n ".json")
-    |> List.sort (fun a b -> compare b a)
-  in
-  List.iteri
-    (fun i name -> if i >= history_keep then Sys.remove (Filename.concat history_dir name))
-    entries
-
 let write_results () =
   ensure_dir "bench";
   ensure_dir results_dir;
-  ensure_dir history_dir;
-  let now = Unix.time () in
-  let rev = git_rev () in
   let snap = Telemetry.snapshot tm in
   let doc =
     Json.Obj
       [
         ("schema", Json.Str "deflection-bench/1");
-        ("generated_unix", Json.Int (int_of_float now));
-        ("git_rev", Json.Str rev);
+        ("generated_unix", Json.Int (int_of_float (Unix.time ())));
         ("quick", Json.Bool !quick);
         ("sections", Json.Obj (List.rev !results));
         ( "telemetry",
@@ -105,19 +64,11 @@ let write_results () =
             ] );
       ]
   in
-  let write path =
-    let oc = open_out path in
-    Json.to_channel ~pretty:true oc doc;
-    close_out oc
-  in
   let latest = Filename.concat results_dir "latest.json" in
-  (* zero-padded unix stamp so lexicographically-greatest names are the
-     newest entries; benchdiff relies on this when picking its window *)
-  let stamped = Filename.concat history_dir (Printf.sprintf "%010.0f-%s.json" now rev) in
-  write latest;
-  write stamped;
-  prune_history ();
-  printf "\nresults written to %s (history: %s, keeping %d)\n" latest stamped history_keep
+  let oc = open_out latest in
+  Json.to_channel ~pretty:true oc doc;
+  close_out oc;
+  printf "\nresults written to %s\n" latest
 
 (* ------------------------------------------------------------------ *)
 (* Shared measurement helpers *)
@@ -208,7 +159,6 @@ let table2 () =
   let acc = ref [] in
   let rows = ref [] in
   let instrs = ref 0 in
-  let t0 = Unix.gettimeofday () in
   List.iter
     (fun (b : W.Nbench.benchmark) ->
       let base, sweep = policy_sweep ~what:b.W.Nbench.name b.W.Nbench.source in
@@ -238,12 +188,6 @@ let table2 () =
   printf "%-16s | %9.2f%%        | %9.2f%%        | %9.2f%%        | %9.2f%%\n" "geo-mean (ours)"
     g1 g2 g5 g6;
   printf "(paper: ~10%% geo-mean without side-channel mitigation, ~20%% with P1-P6)\n";
-  (* wall-clock interpreter throughput across the whole sweep — one of the
-     tracked benchdiff metrics (sections.table2.instr_per_sec) *)
-  let dt = Unix.gettimeofday () -. t0 in
-  let throughput = if dt > 0.0 then float_of_int !instrs /. dt else 0.0 in
-  printf "interpreter throughput: %d instructions in %.3fs = %.0f instr/s\n" !instrs dt
-    throughput;
   record "table2"
     (Json.Obj
        (List.rev !rows
@@ -257,8 +201,6 @@ let table2 () =
                  ("P1-P6", Json.Float g6);
                ] );
            ("instructions_executed", Json.Int !instrs);
-           ("wall_seconds", Json.Float dt);
-           ("instr_per_sec", Json.Float throughput);
          ]))
 
 (* ------------------------------------------------------------------ *)
@@ -811,12 +753,11 @@ let chaos () =
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz campaign: differential oracles over generated programs and
-   adversarial mutants, plus verifier wall-clock throughput *)
+   adversarial mutants *)
 
 let fuzz () =
-  hr "Fuzz campaign: differential + soundness oracles and verifier throughput";
+  hr "Fuzz campaign: differential + soundness oracles";
   let module Fuzz = Deflection_fuzz.Fuzz in
-  let module Gen = Deflection_fuzz.Gen in
   let n = if !quick then 30 else 100 in
   let report = Fuzz.campaign ~base_seed:1L ~programs:n ~mutants:n () in
   printf "%d programs (%d clean), %d mutants (%d rejected, %d ran clean), %d failure(s)\n"
@@ -826,35 +767,6 @@ let fuzz () =
   printf "self-tests: planted bad mutant %s, planted raw store %s\n"
     (if report.Fuzz.selftest_rejection_caught then "caught" else "MISSED")
     (if report.Fuzz.selftest_monitor_caught then "caught" else "MISSED");
-  (* verifier throughput: wall-clock verify over a compiled corpus *)
-  let corpus =
-    List.filter_map
-      (fun i ->
-        let seed = Deflection_util.Prng.derive 1L ~label:(Printf.sprintf "fuzz.prog.%d" i) in
-        let g = Gen.generate ~seed in
-        Result.to_option
-          (Deflection_compiler.Frontend.compile ~policies:Policy.Set.p1_p6 ~ssa_q:20
-             g.Gen.source))
-      (List.init (if !quick then 10 else 25) Fun.id)
-  in
-  let t0 = Unix.gettimeofday () in
-  let reps = 8 in
-  let instrs = ref 0 in
-  for _ = 1 to reps do
-    List.iter
-      (fun obj ->
-        match
-          Deflection_verifier.Verifier.verify ~policies:Policy.Set.p1_p6
-            ~ssa_q:obj.Deflection_isa.Objfile.ssa_q obj
-        with
-        | Ok r -> instrs := !instrs + r.Deflection_verifier.Verifier.instructions_checked
-        | Error _ -> failwith "fuzz bench: corpus program rejected")
-      corpus
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let throughput = if dt > 0.0 then float_of_int !instrs /. dt else 0.0 in
-  printf "verifier throughput: %d instructions in %.3fs = %.0f instr/s\n" !instrs dt
-    throughput;
   record "fuzz"
     (Json.Obj
        [
@@ -866,430 +778,7 @@ let fuzz () =
          ("failures", Json.Int (List.length report.Fuzz.failures));
          ("selftest_rejection_caught", Json.Bool report.Fuzz.selftest_rejection_caught);
          ("selftest_monitor_caught", Json.Bool report.Fuzz.selftest_monitor_caught);
-         ("verify_instructions", Json.Int !instrs);
-         ("verify_seconds", Json.Float dt);
-         ("verify_instr_per_sec", Json.Float throughput);
        ])
-
-(* ------------------------------------------------------------------ *)
-(* Witnessed verification: cold-verify throughput of the proof-carrying
-   replay tier against the recursive descent over the same compiled
-   corpus. Before timing, the section asserts the two tiers agree
-   verdict-for-verdict and that a doctored witness rejects in the Witness
-   pass — a fast replay that lies would be worse than a slow descent.
-   [witness_instr_per_sec] is benchdiff-tracked
-   (verifier.witness_instr_per_sec). *)
-
-let witness () =
-  let module Verifier = Deflection_verifier.Verifier in
-  let module Gen = Deflection_fuzz.Gen in
-  let module Mutate = Deflection_fuzz.Mutate in
-  let n_prog = if !quick then 8 else 24 in
-  let reps = if !quick then 10 else 40 in
-  hr
-    (Printf.sprintf "Witnessed verification: descent vs replay (%d programs x %d reps)" n_prog
-       reps);
-  let corpus =
-    List.init n_prog (fun i ->
-        let g = Gen.generate ~seed:(Int64.of_int (i + 1)) in
-        Deflection_compiler.Frontend.compile_exn ~policies:Policy.Set.p1_p6 ~ssa_q:20
-          g.Gen.source)
-  in
-  (* verdict equality: the replay must reproduce the descent's report *)
-  List.iter
-    (fun obj ->
-      match
-        ( Verifier.verify_classified ~policies:Policy.Set.p1_p6 ~ssa_q:20 obj,
-          Verifier.verify_witnessed ~policies:Policy.Set.p1_p6 ~ssa_q:20 obj )
-      with
-      | Ok (rd, _), Ok (rw, _) when rd = rw -> ()
-      | _ -> failwith "witness bench: tiers disagree on a compiler-produced binary")
-    corpus;
-  (* adversarial sanity: a doctored witness must reject in the Witness pass *)
-  List.iter
-    (fun obj ->
-      let doctored = Mutate.apply_witness obj [ Mutate.Wflip_digest ] in
-      match Verifier.verify_witnessed ~policies:Policy.Set.p1_p6 ~ssa_q:20 doctored with
-      | Error { Verifier.pass = Verifier.Witness; _ } -> ()
-      | Ok _ | Error _ -> failwith "witness bench: doctored witness was not rejected")
-    corpus;
-  let time verify =
-    let t0 = Unix.gettimeofday () in
-    let instrs = ref 0 in
-    for _ = 1 to reps do
-      List.iter
-        (fun obj ->
-          match verify obj with
-          | Ok (r, _) -> instrs := !instrs + r.Verifier.instructions_checked
-          | Error _ -> failwith "witness bench: corpus program rejected")
-        corpus
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    (!instrs, dt, if dt > 0.0 then float_of_int !instrs /. dt else 0.0)
-  in
-  let di, dd, descent_ips =
-    time (fun o -> Verifier.verify_classified ~policies:Policy.Set.p1_p6 ~ssa_q:20 o)
-  in
-  let wi, wd, witness_ips =
-    time (fun o -> Verifier.verify_witnessed ~policies:Policy.Set.p1_p6 ~ssa_q:20 o)
-  in
-  let speedup = if descent_ips > 0.0 then witness_ips /. descent_ips else 0.0 in
-  printf "descent   %10.0f instr/s (%d instructions, %.3fs)\n" descent_ips di dd;
-  printf "witnessed %10.0f instr/s (%d instructions, %.3fs)\n" witness_ips wi wd;
-  printf "cold-verify speedup: %.2fx (witnessed replay over recursive descent)\n" speedup;
-  record "witness"
-    (Json.Obj
-       [
-         ("programs", Json.Int n_prog);
-         ("reps", Json.Int reps);
-         ("descent_instr_per_sec", Json.Float descent_ips);
-         ("witness_instr_per_sec", Json.Float witness_ips);
-         ("speedup_x", Json.Float speedup);
-         ("verdicts_equal", Json.Bool true);
-         ("doctored_witness_rejected", Json.Bool true);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Gateway: verify-once/admit-many batch serving. Cold = every session
-   compiles and verifies its own delivery, sequentially (the paper's
-   one-enclave-per-client baseline). Warm = shared verdict cache,
-   pre-warmed, compile-once sharing, at increasing domain fan-out. *)
-
-(* Code-heavy, run-light service: many small annotated functions, each
-   called once, so compile+verify dominates a session and the
-   verify-once/admit-many fast path has something to amortize. *)
-let gateway_source () =
-  let b = Buffer.create 4096 in
-  let funcs = if !quick then 64 else 160 in
-  for i = 0 to funcs - 1 do
-    Buffer.add_string b
-      (Printf.sprintf
-         "int f%d(int x) { int a[8]; a[x %% 8] = x + %d; a[(x + 1) %% 8] = a[x %% 8] * 3; \
-          return a[x %% 8] + a[(x + 1) %% 8]; }\n"
-         i i)
-  done;
-  Buffer.add_string b "int main() {\n  int s = 0;\n";
-  for i = 0 to funcs - 1 do
-    Buffer.add_string b (Printf.sprintf "  s = s + f%d(%d);\n" i i)
-  done;
-  Buffer.add_string b "  print_int(s);\n  return 0;\n}\n";
-  Buffer.contents b
-
-let gateway () =
-  let module Gateway = Deflection_gateway.Gateway in
-  let module Verifier = Deflection_verifier.Verifier in
-  let sessions = if !quick then 4 else 8 in
-  hr (Printf.sprintf "Gateway: verify-once/admit-many (%d-session same-binary batch)" sessions);
-  let src = gateway_source () in
-  let mk_jobs () =
-    List.init sessions (fun i ->
-        Gateway.job ~label:(Printf.sprintf "s%d" i) ~seed:(Int64.of_int (i + 1)) src)
-  in
-  let assert_clean what (batch : Gateway.batch) =
-    List.iter
-      (fun (r : Gateway.session_result) ->
-        if r.Gateway.exit_code <> 0 then
-          failwith (Printf.sprintf "gateway bench: %s session %s exited %d" what
-               r.Gateway.label r.Gateway.exit_code))
-      batch.Gateway.results
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* the default layout: 96 annotated functions overflow the small test
-     map's 64KB code region *)
-  let layout = Deflection_enclave.Layout.default_config in
-  let cold_batch, cold_dt = time (fun () -> Gateway.run_batch ~jobs:1 ~layout (mk_jobs ())) in
-  assert_clean "cold" cold_batch;
-  let cold_rate = if cold_dt > 0. then float_of_int sessions /. cold_dt else 0. in
-  printf "cold sequential:     %6.3fs  %7.1f sessions/s\n" cold_dt cold_rate;
-  let fanouts = if !quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let warm_rows =
-    List.map
-      (fun k ->
-        let cache = Verifier.Cache.create () in
-        let prewarm =
-          Gateway.run_batch ~jobs:1 ~layout ~cache
-            [ Gateway.job ~label:"prewarm" ~seed:1L src ]
-        in
-        assert_clean "prewarm" prewarm;
-        let batch, dt =
-          time (fun () -> Gateway.run_batch ~jobs:k ~layout ~cache (mk_jobs ()))
-        in
-        assert_clean "warm" batch;
-        let stats = Option.get batch.Gateway.cache_stats in
-        let rate = if dt > 0. then float_of_int sessions /. dt else 0. in
-        printf "warm cache, jobs=%d:  %6.3fs  %7.1f sessions/s  (%d hits / %d misses)\n" k dt
-          rate stats.Verifier.Cache.hits stats.Verifier.Cache.misses;
-        (k, dt, rate, stats))
-      fanouts
-  in
-  let _, _, warm1_rate, _ = List.hd warm_rows in
-  let speedup = if cold_rate > 0. then warm1_rate /. cold_rate else 0. in
-  printf "warm/cold throughput at jobs=1: %.2fx\n" speedup;
-  (* Audit-plane overhead: the same warm jobs=1 batch with and without
-     the hash-chained admission log attached, best of [reps] so a stray
-     scheduler hiccup doesn't masquerade as chaining cost. The stated
-     budget (25%) is documentation, not a gate — benchdiff tracks the
-     session rates; this row makes the audit tax itself visible. *)
-  let module Audit = Deflection_audit.Audit in
-  let module Attestation = Deflection_attestation.Attestation in
-  let reps = 3 in
-  let best f =
-    let rec go best n =
-      if n = 0 then best
-      else
-        let _, dt = time f in
-        go (min best dt) (n - 1)
-    in
-    go infinity reps
-  in
-  let warm_run ?audit () =
-    let cache = Verifier.Cache.create () in
-    let prewarm =
-      Gateway.run_batch ~jobs:1 ~layout ~cache [ Gateway.job ~label:"prewarm" ~seed:1L src ]
-    in
-    assert_clean "prewarm" prewarm;
-    let batch = Gateway.run_batch ~jobs:1 ~layout ~cache ?audit (mk_jobs ()) in
-    assert_clean "audit" batch;
-    batch
-  in
-  let off_dt = best (fun () -> warm_run ()) in
-  let platform = Attestation.Platform.create ~seed:42L in
-  let audit_log = Audit.Log.create ~platform () in
-  let on_dt = best (fun () -> warm_run ~audit:audit_log ()) in
-  let audit_records = Audit.Log.length audit_log in
-  let audit_rate = if on_dt > 0. then float_of_int sessions /. on_dt else 0. in
-  let overhead_pct = if off_dt > 0. then (on_dt -. off_dt) /. off_dt *. 100. else 0. in
-  printf "audit plane, jobs=1: %6.3fs  %7.1f records/s  (%+.1f%% vs audit-off, budget 25%%)\n"
-    on_dt audit_rate overhead_pct;
-  (* per-pass verifier attribution, from a telemetry-enabled cold session
-     of the same binary: where a fresh verifier pass actually spends its
-     time (Hdr families observed by the gateway's latency plane) *)
-  let tm = Deflection_telemetry.Telemetry.create () in
-  let pass_batch = Gateway.run_batch ~jobs:1 ~layout ~tm (mk_jobs ()) in
-  assert_clean "pass" pass_batch;
-  let pass_families =
-    List.filter
-      (fun (name, _) -> String.length name > 14 && String.sub name 0 14 = "verifier.pass.")
-      pass_batch.Gateway.latencies
-  in
-  List.iter
-    (fun (name, h) ->
-      printf "  %-24s p50 %8d ns  p99 %8d ns  (%d samples)\n" name
-        (Deflection_telemetry.Hdr.quantile h 0.50)
-        (Deflection_telemetry.Hdr.quantile h 0.99)
-        (Deflection_telemetry.Hdr.count h))
-    pass_families;
-  record "gateway"
-    (Json.Obj
-       [
-         ("sessions", Json.Int sessions);
-         ("cold_seconds", Json.Float cold_dt);
-         ("cold_sessions_per_s", Json.Float cold_rate);
-         ( "warm",
-           Json.List
-             (List.map
-                (fun (k, dt, rate, (stats : Verifier.Cache.stats)) ->
-                  Json.Obj
-                    [
-                      ("jobs", Json.Int k);
-                      ("seconds", Json.Float dt);
-                      ("sessions_per_s", Json.Float rate);
-                      ("cache_hits", Json.Int stats.Verifier.Cache.hits);
-                      ("cache_misses", Json.Int stats.Verifier.Cache.misses);
-                    ])
-                warm_rows) );
-         ("warm_over_cold_x", Json.Float speedup);
-         ( "audit",
-           Json.Obj
-             [
-               ("records", Json.Int audit_records);
-               ("seconds", Json.Float on_dt);
-               ("records_per_s", Json.Float audit_rate);
-               ("audit_off_seconds", Json.Float off_dt);
-               ("overhead_pct", Json.Float overhead_pct);
-               ("budget_pct", Json.Float 25.);
-             ] );
-         ( "verifier_pass_ns",
-           Json.Obj
-             (List.map
-                (fun (name, h) -> (name, Deflection_telemetry.Hdr.to_json h))
-                pass_families) );
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Persistent multi-tenant server: saturation throughput under 2x
-   overload (typed shedding), admitted-session latency percentiles, and
-   the warm-after-restart vs cold ratio the sealed verdict cache buys. *)
-
-let server () =
-  hr "Persistent server (VI-B context: verify-once amortised across restarts)";
-  let module Server = Deflection_server.Server in
-  let rounds = if !quick then 4 else 10 in
-  let batch = 8 in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "deflection-bench-server" in
-  ensure_dir dir;
-  let clean () =
-    List.iter
-      (fun f ->
-        let p = Filename.concat dir f in
-        if Sys.file_exists p then Sys.remove p)
-      [ "verdict-cache.json"; "verdict-cache.json.1"; "verdict-cache.json.tmp" ]
-  in
-  let cfg =
-    {
-      Server.default_config with
-      Server.queue_capacity = 2 * batch;
-      batch_size = batch;
-      workers = (if !quick then 2 else 4);
-      seed = 21L;
-      state_dir = Some dir;
-      persist_every = 1;
-    }
-  in
-  let run () =
-    let s = Server.create cfg in
-    let t0 = Unix.gettimeofday () in
-    (match Server.serve_load s ~offered:(2 * batch * rounds) ~rounds ~kill_after:None with
-    | `Done -> ()
-    | `Killed -> failwith "bench server died without a chaos engine");
-    (s, Unix.gettimeofday () -. t0)
-  in
-  (* saturation: offer 2x what batch*rounds can admit; the excess must be
-     shed (typed), never queued unboundedly *)
-  clean ();
-  let cold, cold_dt = run () in
-  let doc = Server.doc cold in
-  let geti k = match Json.member k doc with Some (Json.Int n) -> n | _ -> 0 in
-  let offered = geti "offered"
-  and admitted = geti "admitted"
-  and shed = geti "shed"
-  and rejected = geti "rejected" in
-  let shed_rate = if offered > 0 then 100. *. float_of_int shed /. float_of_int offered else 0. in
-  let sat_rate = if cold_dt > 0. then float_of_int admitted /. cold_dt else 0. in
-  printf "saturation (2x capacity): %d offered -> %d admitted, %d shed (%.1f%%), %d rejected\n"
-    offered admitted shed shed_rate rejected;
-  printf "cold serve:          %6.3fs  %7.1f admitted sessions/s\n" cold_dt sat_rate;
-  (* admitted-session latency percentiles; the resilience stage budget
-     (default 10s per protocol stage) is the documented p99 bound *)
-  let session_q p =
-    match Json.member "timing" doc with
-    | Some timing -> (
-      match Json.member "latency_ns" timing with
-      | Some (Json.Obj fams) -> (
-        match List.assoc_opt "session" fams with
-        | Some body -> (
-          match Json.member p body with Some (Json.Int n) -> n | _ -> 0)
-        | None -> 0)
-      | _ -> 0)
-    | None -> 0
-  in
-  let p50 = session_q "p50" and p95 = session_q "p95" and p99 = session_q "p99" in
-  printf "admitted session latency: p50 %.2f ms  p95 %.2f ms  p99 %.2f ms (budget: 10s stage timeout)\n"
-    (float_of_int p50 /. 1e6) (float_of_int p95 /. 1e6) (float_of_int p99 /. 1e6);
-  (* restart against the sealed state: the same workload replays warm *)
-  let warm, warm_dt = run () in
-  let wdoc = Server.doc warm in
-  let wgeti k = match Json.member k wdoc with Some (Json.Int n) -> n | _ -> 0 in
-  let w_hits = wgeti "warm_hits" and w_misses = wgeti "cold_misses" in
-  let warm_ratio =
-    if w_hits + w_misses > 0 then float_of_int w_hits /. float_of_int (w_hits + w_misses) else 0.
-  in
-  let warm_over_cold = if warm_dt > 0. then cold_dt /. warm_dt else 0. in
-  printf "warm restart:        %6.3fs  %.2fx vs cold  (hit ratio %.2f, %d preloaded)\n" warm_dt
-    warm_over_cold warm_ratio (wgeti "preloaded");
-  clean ();
-  record "server"
-    (Json.Obj
-       [
-         ("rounds", Json.Int rounds);
-         ("offered", Json.Int offered);
-         ("admitted", Json.Int admitted);
-         ("shed", Json.Int shed);
-         ("shed_rate_pct", Json.Float shed_rate);
-         ("saturation_sessions_per_s", Json.Float sat_rate);
-         ("session_p50_ns", Json.Int p50);
-         ("session_p95_ns", Json.Int p95);
-         ("session_p99_ns", Json.Int p99);
-         ("stage_budget_ms", Json.Int 10_000);
-         ("cold_seconds", Json.Float cold_dt);
-         ("warm_seconds", Json.Float warm_dt);
-         ("warm_over_cold_x", Json.Float warm_over_cold);
-         ("warm_hit_ratio_after_restart", Json.Float warm_ratio);
-         ("preloaded", Json.Int (wgeti "preloaded"));
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock micro-benchmarks: one per table/figure pipeline *)
-
-let micro () =
-  hr "Bechamel micro-benchmarks (wall clock; one per experiment pipeline)";
-  let open Bechamel in
-  let sample_src = (List.nth W.Nbench.all 0).W.Nbench.source in
-  let obj = Deflection_compiler.Frontend.compile_exn ~policies:Policy.Set.p1_p6 sample_src in
-  let serialized = Deflection_isa.Objfile.serialize obj in
-  let layout = Deflection_enclave.Layout.make Deflection_enclave.Layout.small_config in
-  let tests =
-    [
-      Test.make ~name:"table1.measurement"
-        (Staged.stage (fun () ->
-             ignore
-               (Deflection_enclave.Measurement.measure layout
-                  ~consumer_code:(Bytes.make 4096 'c'))));
-      Test.make ~name:"table2.compile+instrument"
-        (Staged.stage (fun () ->
-             ignore
-               (Deflection_compiler.Frontend.compile_exn ~policies:Policy.Set.p1_p6 sample_src)));
-      Test.make ~name:"fig7.verify"
-        (Staged.stage (fun () ->
-             ignore
-               (Deflection_verifier.Verifier.verify ~policies:Policy.Set.p1_p6
-                  ~ssa_q:obj.Deflection_isa.Objfile.ssa_q obj)));
-      Test.make ~name:"fig8.load+rewrite"
-        (Staged.stage (fun () ->
-             let mem = Deflection_enclave.Memory.create layout in
-             let loaded =
-               Result.get_ok (Deflection_loader.Loader.load mem ~aex_threshold:1000 obj)
-             in
-             ignore
-               (Result.get_ok
-                  (Deflection_loader.Loader.rewrite_imms mem loaded ~policies:Policy.Set.p1_p6))));
-      Test.make ~name:"fig9.objfile-parse"
-        (Staged.stage (fun () -> ignore (Deflection_isa.Objfile.deserialize serialized)));
-      Test.make
-        ~name:"fig10.record-seal-1KiB"
-        (let key = Bytes.make 32 'k' in
-         let ch = Deflection_crypto.Channel.create ~key in
-         Staged.stage (fun () ->
-             ignore (Deflection_crypto.Channel.seal_padded ch ~pad_to:1024 (Bytes.make 100 'x'))));
-      Test.make ~name:"fig11.sha256-4KiB"
-        (let data = Bytes.make 4096 'd' in
-         Staged.stage (fun () -> ignore (Deflection_crypto.Sha256.digest data)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let rows = ref [] in
-  List.iter
-    (fun t ->
-      let results = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] t in
-      let analyzed =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          (Toolkit.Instance.monotonic_clock) results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-            rows := (name, Json.Float est) :: !rows;
-            printf "  %-30s %12.0f ns/run\n" name est
-          | Some _ | None -> printf "  %-30s (no estimate)\n" name)
-        analyzed)
-    tests;
-  record "micro" (Json.Obj (List.rev !rows))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1303,8 +792,7 @@ let () =
       ("table1", table1); ("table2", table2); ("tier", tier); ("fig7", fig7); ("fig8", fig8);
       ("fig9", fig9);
       ("fig10", fig10); ("fig11", fig11); ("ablation", ablation); ("related", related);
-      ("profile", profile); ("chaos", chaos); ("fuzz", fuzz); ("witness", witness);
-      ("gateway", gateway); ("server", server); ("micro", micro);
+      ("profile", profile); ("chaos", chaos); ("fuzz", fuzz);
     ]
   in
   let selected =

@@ -22,7 +22,6 @@ module Interp = Deflection_runtime.Interp
 module Telemetry = Deflection_telemetry.Telemetry
 module Json = Deflection_telemetry.Json
 module Hdr = Deflection_telemetry.Hdr
-module Benchdiff = Deflection_telemetry.Benchdiff
 module Flight_recorder = Deflection_forensics.Flight_recorder
 module Profiler = Deflection_forensics.Profiler
 module Report = Deflection_forensics.Report
@@ -50,7 +49,6 @@ let schema_versions =
     ("server", "1");
     ("server-cache", "2");
     ("server-chaos", "1");
-    ("benchdiff", "1");
     ("audit", "2");
     ("forensics", "1");
     ("profile", "1");
@@ -1152,118 +1150,6 @@ let serve_cmd =
       $ campaign $ camp_seeds $ camp_base $ policies_arg $ ssa_q_arg $ verify_mode_arg)
 
 (* ------------------------------------------------------------------ *)
-(* benchdiff: compare a bench run against a baseline (file or history
-   directory) over the tracked wall-clock metrics and emit an explicit
-   better/worse/neutral verdict document. The comparator itself is
-   advisory — `json_check --regress` is the gate that turns a "worse"
-   verdict into a failing exit code. *)
-
-let benchdiff_cmd =
-  let baseline =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE"
-          ~doc:
-            "Baseline: a deflection-bench/1 JSON file, or a directory (e.g. \
-             bench/results/history/) whose most recent entries form a median-of-N \
-             baseline.")
-  in
-  let current =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"CURRENT" ~doc:"The bench document to judge (deflection-bench/1).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the deflection-benchdiff/1 verdict document to $(docv).")
-  in
-  let depth =
-    Arg.(
-      value & opt int 5
-      & info [ "history-depth" ] ~docv:"N"
-          ~doc:
-            "When BASELINE is a directory, take the median of each metric over the $(docv) \
-             most recent entries.")
-  in
-  let action baseline current out depth =
-    let parse path =
-      match Json.parse (read_file path) with
-      | Ok doc -> doc
-      | Error e ->
-        Format.eprintf "%s: invalid JSON: %s@." path e;
-        exit 1
-    in
-    let baseline_files =
-      if Sys.is_directory baseline then begin
-        let entries =
-          Sys.readdir baseline |> Array.to_list
-          |> List.filter (fun f -> Filename.check_suffix f ".json")
-          (* history entries are named <unix-stamp>-<rev>.json, so the
-             lexicographically greatest names are the newest runs *)
-          |> List.sort (fun a b -> compare b a)
-        in
-        List.filteri (fun i _ -> i < max 1 depth) entries
-        |> List.map (Filename.concat baseline)
-      end
-      else [ baseline ]
-    in
-    if baseline_files = [] then begin
-      Format.eprintf "benchdiff: no baseline entries under %s@." baseline;
-      exit 1
-    end;
-    let report =
-      Benchdiff.compare_docs
-        ~baseline:(List.map parse baseline_files)
-        ~current:(parse current)
-    in
-    Format.printf "baseline: %d run(s), newest %s@." (List.length baseline_files)
-      (List.hd baseline_files);
-    Format.printf "%-28s %12s %12s %9s %8s  %s@." "metric" "baseline" "current" "delta"
-      "tol" "verdict";
-    List.iter
-      (fun (c : Benchdiff.comparison) ->
-        let f = function Some v -> Printf.sprintf "%.2f" v | None -> "-" in
-        Format.printf "%-28s %12s %12s %8s%% %7.0f%%  %s@." c.Benchdiff.c_metric.Benchdiff.m_name
-          (f c.Benchdiff.c_baseline) (f c.Benchdiff.c_current)
-          (match c.Benchdiff.c_delta_pct with
-          | Some d -> Printf.sprintf "%+.1f" d
-          | None -> "-")
-          c.Benchdiff.c_metric.Benchdiff.m_tolerance_pct
-          (Benchdiff.verdict_label c.Benchdiff.c_verdict))
-      report.Benchdiff.comparisons;
-    Format.printf "verdict: %s (%d regression(s), %d improvement(s))@."
-      (if report.Benchdiff.ok then "ok" else "REGRESSED")
-      report.Benchdiff.regressions report.Benchdiff.improvements;
-    match out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      Json.to_channel ~pretty:true oc
-        (Benchdiff.report_to_json ~baseline_files ~current_file:current report);
-      close_out oc;
-      Format.eprintf "verdict written to %s@." file
-  in
-  Cmd.v
-    (Cmd.info "benchdiff"
-       ~doc:
-         "Compare a bench run against a baseline (single file or median-of-N over a history \
-          directory) on the tracked wall-clock metrics, print a per-metric \
-          better/worse/neutral table and write a deflection-benchdiff/1 verdict document. \
-          Always exits 0 when the comparison completes; gate with `json_check --regress` on \
-          the verdict file."
-       ~man:
-         [
-           `S Manpage.s_exit_status;
-           `P "0 when the comparison completed (whatever the verdicts), 1 otherwise.";
-         ])
-    Term.(const action $ baseline $ current $ out $ depth)
-
-(* ------------------------------------------------------------------ *)
 (* audit: the consumer side of the attested audit plane. `verify`
    re-walks a sealed deflection-audit/2 document under the platform
    re-derived from --seed and exits 12 on any tamper; `show` renders the
@@ -1409,7 +1295,6 @@ let () =
             audit_cmd;
             chaos_cmd;
             fuzz_cmd;
-            benchdiff_cmd;
             report_cmd;
             version_cmd;
           ]))

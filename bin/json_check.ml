@@ -38,10 +38,6 @@
                                 cache entries within quota, exit histograms
                                 that sum to the admitted counts, a coherent
                                 recovery report and monotone latency ladders
-     json_check --regress FILE  enforce the deflection-benchdiff/1 verdict
-                                schema and FAIL (exit 1) when any tracked
-                                metric regressed beyond its tolerance —
-                                this is the bench-history regression gate
 
    Used by `make check` to fail the build when the benchmark harness
    produced no (or malformed) bench/results/latest.json, and by the chaos
@@ -79,29 +75,6 @@ let check_bench path json =
         | Json.Obj _ | Json.List _ -> ()
         | _ -> die "%s: section %S is not an object or array" path name)
       sections;
-    (* the witnessed-verification section carries correctness booleans
-       next to its throughput numbers: a fast replay that disagrees with
-       the descent (or admits a doctored witness) must fail the gate *)
-    (match List.assoc_opt "witness" sections with
-    | None -> ()
-    | Some body ->
-      let num name =
-        match Json.member name body with
-        | Some (Json.Float f) -> f
-        | Some (Json.Int n) -> float_of_int n
-        | _ -> die "%s: witness section: missing numeric %S field" path name
-      in
-      if num "witness_instr_per_sec" <= 0.0 then
-        die "%s: witness section: non-positive witness_instr_per_sec" path;
-      if num "descent_instr_per_sec" <= 0.0 then
-        die "%s: witness section: non-positive descent_instr_per_sec" path;
-      ignore (num "speedup_x");
-      (match Json.member "verdicts_equal" body with
-      | Some (Json.Bool true) -> ()
-      | _ -> die "%s: witness section: tiers disagreed (verdicts_equal is not true)" path);
-      (match Json.member "doctored_witness_rejected" body with
-      | Some (Json.Bool true) -> ()
-      | _ -> die "%s: witness section: a doctored witness was not rejected" path));
     Printf.printf "%s: ok (%d sections: %s)\n" path (List.length sections)
       (String.concat ", " (List.map fst sections))
   | _ -> die "%s: missing \"sections\" object" path
@@ -541,47 +514,6 @@ let check_server path json =
     path offered admitted shed rejected
     (if admitted > 0 then float_of_int warm_hits /. float_of_int admitted else 0.)
 
-let check_regress path json =
-  (match Json.member "schema" json with
-  | Some (Json.Str "deflection-benchdiff/1") -> ()
-  | Some (Json.Str other) -> die "%s: unknown schema %S" path other
-  | _ -> die "%s: missing \"schema\" field" path);
-  let baseline_runs = int_field path json "baseline_runs" in
-  if baseline_runs <= 0 then die "%s: verdict compares against zero baseline runs" path;
-  let regressions = int_field path json "regressions" in
-  let ok =
-    match Json.member "ok" json with
-    | Some (Json.Bool b) -> b
-    | _ -> die "%s: missing boolean \"ok\" field" path
-  in
-  let worse =
-    match Json.member "metrics" json with
-    | Some (Json.List ((_ :: _) as metrics)) ->
-      List.filter_map
-        (fun m ->
-          let name =
-            match Json.member "name" m with
-            | Some (Json.Str s) -> s
-            | _ -> die "%s: metric without a string \"name\"" path
-          in
-          match Json.member "verdict" m with
-          | Some (Json.Str ("better" | "neutral" | "missing")) -> None
-          | Some (Json.Str "worse") -> Some name
-          | _ -> die "%s: metric %S has no recognised \"verdict\"" path name)
-        metrics
-    | _ -> die "%s: missing non-empty \"metrics\" array" path
-  in
-  if List.length worse <> regressions then
-    die "%s: %d worse verdict(s) but \"regressions\" says %d" path (List.length worse)
-      regressions;
-  if ok <> (regressions = 0) then
-    die "%s: \"ok\" flag disagrees with the regression count" path;
-  if regressions > 0 then
-    die "%s: REGRESSION — %d tracked metric(s) worse than baseline: %s" path regressions
-      (String.concat ", " worse);
-  Printf.printf "%s: ok (no regressions across %d baseline run%s)\n" path baseline_runs
-    (if baseline_runs = 1 then "" else "s")
-
 let () =
   let mode, path =
     match Array.to_list Sys.argv with
@@ -591,10 +523,9 @@ let () =
     | [ _; "--gateway"; path ] -> (`Gateway, path)
     | [ _; "--audit"; path ] -> (`Audit, path)
     | [ _; "--server"; path ] -> (`Server, path)
-    | [ _; "--regress"; path ] -> (`Regress, path)
     | [ _; path ] -> (`Plain, path)
     | _ ->
-      die "usage: json_check [--bench|--chaos|--fuzz|--gateway|--audit|--server|--regress] FILE"
+      die "usage: json_check [--bench|--chaos|--fuzz|--gateway|--audit|--server] FILE"
   in
   let contents = try read_file path with Sys_error e -> die "%s" e in
   match Json.parse contents with
@@ -607,5 +538,4 @@ let () =
     | `Gateway -> check_gateway path json
     | `Audit -> check_audit path json
     | `Server -> check_server path json
-    | `Regress -> check_regress path json
     | `Plain -> Printf.printf "%s: ok\n" path)

@@ -503,6 +503,9 @@ let run ?(recorder = Flight_recorder.disabled) ?(profiler = Profiler.disabled)
         Telemetry.count t.tm "interp.aexes" (Interp.aex_count itp);
         Telemetry.count t.tm "interp.ocalls" (Interp.ocall_count itp);
         List.iter
+          (fun (name, n) -> Telemetry.count t.tm ("interp.trace." ^ name) n)
+          (Interp.trace_counters itp);
+        List.iter
           (fun (cls, n) -> Telemetry.count t.tm ("interp.class." ^ cls) n)
           (Interp.class_counts itp)
       end;

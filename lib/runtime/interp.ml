@@ -89,6 +89,16 @@ type t = {
   leaders : (int, unit) Hashtbl.t;
   mutable trace_pc : int;  (* pc of the in-flight block op, for fault repair *)
   klass : int array;  (* per-class instruction counts, indexed by class_index *)
+  (* trace-tier counters, each bumped on a slow edge only (see
+     [trace_counters]): blocks compiled, block-table lookups, single steps
+     at an AEX/instruction-limit boundary and where no block compiles,
+     and block-table drops after a code patch *)
+  mutable tc_compiled : int;
+  mutable tc_lookups : int;
+  mutable tc_boundary : int;
+  mutable tc_no_block : int;
+  mutable tc_invalidations : int;
+  mutable trace_off : string list;  (* why the last [run] did not take the trace tier *)
   tm : Telemetry.t;
   recorder : Flight_recorder.t;
   profiler : Profiler.t;
@@ -185,6 +195,12 @@ let create ?(config = default_config) ?(tm = Telemetry.disabled)
       leaders = Hashtbl.create 256;
       trace_pc = 0;
       klass = Array.make n_classes 0;
+      tc_compiled = 0;
+      tc_lookups = 0;
+      tc_boundary = 0;
+      tc_no_block = 0;
+      tc_invalidations = 0;
+      trace_off = [];
       tm;
       recorder;
       profiler;
@@ -1103,6 +1119,7 @@ let compile_block t entry =
      ());
   if !n = 0 then None
   else begin
+    t.tc_compiled <- t.tc_compiled + 1;
     let cops = Array.of_list (List.rev !cops) in
     let metas = Array.of_list (List.rev !metas) in
     let n = !n in
@@ -1216,8 +1233,10 @@ let lookup_block t pc =
     (* same discipline as the decode cache: a code patch drops every
        compiled trace, so stale blocks can neither run nor accumulate *)
     Hashtbl.reset t.blocks;
-    t.block_gen <- gen
+    t.block_gen <- gen;
+    t.tc_invalidations <- t.tc_invalidations + 1
   end;
+  t.tc_lookups <- t.tc_lookups + 1;
   match Hashtbl.find_opt t.blocks pc with
   | Some b -> b
   | None ->
@@ -1307,7 +1326,7 @@ let run_trace t =
      generation can only move inside a block, which reports it, or inside
      a single step, after which control returns to [dispatch]). *)
   let rec dispatch () =
-    match lookup_block t t.rip with Some b -> enter b | None -> step_once ()
+    match lookup_block t t.rip with Some b -> enter b | None -> no_block ()
   and enter b =
     if
       t.instrs + b.b_n <= limit
@@ -1316,25 +1335,32 @@ let run_trace t =
     else
       (* the instruction limit or the AEX schedule could fire inside the
          block: single-step across the boundary for exact semantics *)
-      step_once ()
+      boundary ()
   and chain b =
     let pc = t.rip in
-    if b.b_s1_pc = pc then (match b.b_s1 with Some nb -> enter nb | None -> step_once ())
-    else if b.b_s2_pc = pc then (match b.b_s2 with Some nb -> enter nb | None -> step_once ())
+    if b.b_s1_pc = pc then (match b.b_s1 with Some nb -> enter nb | None -> no_block ())
+    else if b.b_s2_pc = pc then (match b.b_s2 with Some nb -> enter nb | None -> no_block ())
     else begin
+      t.tc_lookups <- t.tc_lookups + 1;
       match Hashtbl.find_opt t.blocks pc with
       | Some s ->
         memoize b pc s;
-        (match s with Some nb -> enter nb | None -> step_once ())
+        (match s with Some nb -> enter nb | None -> no_block ())
       | None ->
         let s = compile_block t pc in
         Hashtbl.replace t.blocks pc s;
         memoize b pc s;
-        (match s with Some nb -> enter nb | None -> step_once ())
+        (match s with Some nb -> enter nb | None -> no_block ())
     end
+  and boundary () =
+    t.tc_boundary <- t.tc_boundary + 1;
+    step_once ()
+  and no_block () =
+    (* OCALL/HLT site, or the first instruction does not compile *)
+    t.tc_no_block <- t.tc_no_block + 1;
+    step_once ()
   and step_once () =
-    (* no block here (OCALL/HLT/fault site) or a boundary is near: one
-       exact single step, then revalidate *)
+    (* one exact single step, then revalidate *)
     match step t with None -> dispatch () | Some r -> r
   in
   (* faults escaping a compiled block (counters already repaired, rip at
@@ -1356,19 +1382,35 @@ let set_block_leaders t addrs =
 
 let trace_cache_size t = Hashtbl.length t.blocks
 
-let observed t = Flight_recorder.enabled t.recorder || Profiler.enabled t.profiler
+let trace_counters t =
+  match t.trace_off with
+  | [] ->
+    let steps = t.tc_boundary + t.tc_no_block in
+    [
+      ("blocks_compiled", t.tc_compiled);
+      ("lookups", t.tc_lookups);
+      ("steps.boundary", t.tc_boundary);
+      ("steps.no_block", t.tc_no_block);
+      ("invalidations", t.tc_invalidations);
+      ("in_block", t.instrs - steps);
+    ]
+  | reasons -> List.map (fun r -> ("off." ^ r, 1)) reasons
 
 let run t ~entry =
   t.rip <- entry;
   if Flight_recorder.enabled t.recorder then
     Flight_recorder.record t.recorder Flight_recorder.Ecall ~pc:entry ~arg:0;
-  let trace_ok =
-    (match t.config.tier with Trace -> true | Step -> false)
-    && t.config.fuel = None
-    && not (observed t)
-  in
+  t.trace_off <-
+    List.filter_map
+      (fun (off, reason) -> if off then Some reason else None)
+      [
+        (t.config.tier = Step, "step_tier");
+        (t.config.fuel <> None, "fuel");
+        (Flight_recorder.enabled t.recorder, "recorder");
+        (Profiler.enabled t.profiler, "profiler");
+      ];
   let rec loop () = match step t with None -> loop () | Some r -> r in
-  let r = if trace_ok then run_trace t else loop () in
+  let r = if t.trace_off = [] then run_trace t else loop () in
   Profiler.catch_up t.profiler ~cycles:t.cycles ~pc:t.rip;
   r
 

@@ -53,11 +53,11 @@ type ocall_outcome = Continue | Halt of exit_reason
     trace tier preserves every observable of the single-stepper: exit
     reasons and their reported offsets, virtual-cycle and instruction
     counts (including the 3-wide-issue residue), per-class histograms,
-    AEX injection points, SSA contents and leak logs. {!run} silently
-    falls back to [Step] whenever per-instruction observation is needed:
-    a watchdog fuel budget, an attached flight recorder or profiler (and,
-    upstream, chaos plans and the fuzz monitor, which pin [Step]
-    explicitly). *)
+    AEX injection points, SSA contents and leak logs. {!run} runs [Step]
+    instead whenever per-instruction observation is needed — a watchdog
+    fuel budget, an attached flight recorder or profiler — or when the
+    config pins [Step] (chaos plans and the fuzz monitor do), and
+    {!trace_counters} names each reason that applied. *)
 type tier = Step | Trace
 
 type config = {
@@ -164,6 +164,20 @@ val set_block_leaders : t -> int list -> unit
     of being re-discovered as duplicated suffixes. Purely a compilation
     hint: correctness never depends on it (an unknown join merely
     compiles an overlapping block). Resets the block cache. *)
+
+val trace_counters : t -> (string * int) list
+(** Why and how the last {!run} used the trace tier, as schedule-
+    independent counts. When it ran the tier: [blocks_compiled],
+    block-table [lookups] (the validating dispatch, and chaining when
+    neither successor slot matches), single steps at an AEX or
+    instruction-limit boundary ([steps.boundary]) and where no block
+    compiles — OCALL/HLT or an uncompilable first instruction
+    ([steps.no_block]), block-table [invalidations] after a code patch,
+    and [in_block] = {!instructions} minus the single steps, the
+    instructions retired inside compiled blocks (exact unless a step
+    ended the run without retiring, at the instruction limit or on an
+    unfetchable pc). When it did not: [off.<reason>] = 1 for each of
+    [step_tier], [fuel], [recorder] and [profiler] that applied. *)
 
 val trace_cache_size : t -> int
 (** Number of live entries in the trace tier's compiled-block cache

@@ -41,7 +41,6 @@ let load_report_to_json r =
 let schema = "deflection-server-cache/2"
 
 type t = {
-  dir : string;
   file : string;
   log : Sealed_log.t;  (* platform sealing key: wrong platform -> every MAC fails *)
   segment_entries : int;
@@ -142,26 +141,6 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let disk_generation file =
-  if not (Sys.file_exists file) then 0
-  else
-    match Json.parse (read_file file) with
-    | Ok doc -> Result.value ~default:0 (Sealed_log.Field.int "generation" doc)
-    | Error _ -> 0
-
-let create ?(segment_entries = 32) ~dir ~platform () =
-  if segment_entries < 1 then invalid_arg "Persist.create: segment_entries must be >= 1";
-  mkdir_p dir;
-  let file = Filename.concat dir "verdict-cache.json" in
-  {
-    dir;
-    file;
-    log = Sealed_log.create ~schema ~key:(Attestation.Platform.sealing_key platform);
-    segment_entries;
-    resilience = Resilience.create ~seed:1L ();
-    gen = disk_generation file;
-  }
-
 let path t = t.file
 let generation t = t.gen
 
@@ -238,22 +217,28 @@ let apply_host_tamper ~chaos t doc =
   let doc = match Chaos.stale_segment chaos with None -> doc | Some s -> at s stale doc in
   match Chaos.mac_corrupt chaos with None -> doc | Some s -> at s flip_mac doc
 
-let load ?(chaos = Chaos.disabled) t =
+(* Read the state file once, through the resilience loop: its generation
+   (as the host served it, before chaos doctoring) seeds the handle, its
+   verified segments are the recovered entries. *)
+let load ~chaos t =
   if not (Sys.file_exists t.file) then
     ([], none_loaded ~found:false ~malformed:false ~generation:0)
   else
-    let raw =
+    let doc =
       let attempt ~attempt:_ =
         match read_file t.file with
         | s -> Resilience.Done s
         | exception Sys_error m -> Resilience.Transient m
       in
-      Resilience.run t.resilience ~stage:"persist.load" attempt
-      |> Result.map_error (fun _ -> "unreadable")
+      match Resilience.run t.resilience ~stage:"persist.load" attempt with
+      | Ok raw -> Json.parse raw
+      | Error _ -> Error "unreadable"
     in
+    Result.iter
+      (fun doc -> t.gen <- Result.value ~default:0 (Sealed_log.Field.int "generation" doc))
+      doc;
     let parsed =
-      let* raw = raw in
-      let* doc = Json.parse raw in
+      let* doc = doc in
       Sealed_log.parse t.log ~decode:entry_of_json ~canonical:canonical_entry ~bound:[]
         (apply_host_tamper ~chaos t doc)
     in
@@ -282,3 +267,18 @@ let load ?(chaos = Chaos.disabled) t =
           segments_discarded =
             List.length (List.filter (function Seg_loaded _ -> false | _ -> true) segments);
         } )
+
+let recover ?(chaos = Chaos.disabled) ?(segment_entries = 32) ~dir ~platform () =
+  if segment_entries < 1 then invalid_arg "Persist.recover: segment_entries must be >= 1";
+  mkdir_p dir;
+  let t =
+    {
+      file = Filename.concat dir "verdict-cache.json";
+      log = Sealed_log.create ~schema ~key:(Attestation.Platform.sealing_key platform);
+      segment_entries;
+      resilience = Resilience.create ~seed:1L ();
+      gen = 0;
+    }
+  in
+  let entries, report = load ~chaos t in
+  (t, entries, report)

@@ -67,12 +67,28 @@ val load_report_to_json : load_report -> Json.t
 
 type t
 
-val create :
-  ?segment_entries:int -> dir:string -> platform:Attestation.Platform.t -> unit -> t
+val recover :
+  ?chaos:Chaos.t ->
+  ?segment_entries:int ->
+  dir:string ->
+  platform:Attestation.Platform.t ->
+  unit ->
+  t * entry list * load_report
 (** A handle on [dir]/verdict-cache.json, sealed under [platform]'s
-    sealing key. [segment_entries] (default 32) bounds entries per
-    segment. Creates [dir] if missing. The handle starts at the
-    generation found on disk (0 if none), so a restarted server's first
+    sealing key, with what it recovered. [segment_entries] (default 32)
+    bounds entries per segment. Creates [dir] if missing.
+
+    The state file is read once, through the hostile-host boundary, and
+    verified as described above: only entries from segments whose MAC
+    verifies are returned. A file that cannot be read (after retries
+    under the resilience policy) or parsed is reported found and
+    malformed and recovers nothing. Pending chaos [Stale_segment] /
+    [Mac_corrupt] faults doctor the bytes the host serves before
+    verification — the typed degradation they must produce is exactly
+    what the report records.
+
+    The handle starts at the generation the file claims (0 if there is
+    none, or it cannot be read or parsed), so a restarted server's first
     save supersedes — and MAC-invalidates — every older segment. *)
 
 val path : t -> string
@@ -86,10 +102,3 @@ val save : ?chaos:Chaos.t -> round:int -> t -> entry list -> (unit, string) resu
     policy; [Error] means the budget ran out (the server keeps serving,
     only warmness across a crash is lost). A pending chaos [Torn_write]
     for [round] truncates the bytes that reach the disk. *)
-
-val load : ?chaos:Chaos.t -> t -> entry list * load_report
-(** Read the state file back through the hostile-host boundary and verify
-    it as described above. Only entries from segments whose MAC verifies
-    are returned. Pending chaos [Stale_segment] / [Mac_corrupt] faults
-    doctor the bytes the host serves before verification — the typed
-    degradation they must produce is exactly what the report records. *)

@@ -129,10 +129,9 @@ let create ?(chaos = Chaos.disabled) cfg =
           t_exits = Hashtbl.create 8;
         })
     cfg.tenants;
-  let persist =
+  let recovered =
     Option.map
-      (fun dir ->
-        Persist.create ~segment_entries:cfg.segment_entries ~dir ~platform ())
+      (fun dir -> Persist.recover ~chaos ~segment_entries:cfg.segment_entries ~dir ~platform ())
       cfg.state_dir
   in
   let t =
@@ -141,7 +140,7 @@ let create ?(chaos = Chaos.disabled) cfg =
       platform;
       tenants_tbl;
       audit = Audit.Log.create ~platform ();
-      persist;
+      persist = Option.map (fun (p, _, _) -> p) recovered;
       chaos;
       recovery_ = None;
       preloaded = 0;
@@ -161,13 +160,12 @@ let create ?(chaos = Chaos.disabled) cfg =
       persist_failures = 0;
     }
   in
-  (match persist with
+  (match recovered with
   | None -> ()
-  | Some p ->
-    (* recovery: verify the sealed cache segment by segment; whatever
-       fails integrity is discarded (cold re-verification), whatever
-       survives goes warm into its tenant's namespace *)
-    let entries, report = Persist.load ~chaos p in
+  | Some (_, entries, report) ->
+    (* recovery verified the sealed cache segment by segment; whatever
+       failed integrity was discarded (cold re-verification), whatever
+       survived goes warm into its tenant's namespace *)
     List.iter
       (fun (e : Persist.entry) ->
         match tenant_state t e.Persist.tenant with
@@ -666,8 +664,9 @@ let run_case ~state_root ~offered i seed =
       violations :=
         Printf.sprintf "audit verify failed: %s" (Audit.tamper_to_string tamper) :: !violations);
     (* and a clean reload of the final sealed state must be whole *)
-    let p = Persist.create ~segment_entries:cfg.segment_entries ~dir ~platform:final.platform () in
-    let _, report = Persist.load p in
+    let _, _, report =
+      Persist.recover ~segment_entries:cfg.segment_entries ~dir ~platform:final.platform ()
+    in
     if
       report.Persist.malformed || report.Persist.truncated
       || report.Persist.segments_discarded > 0

@@ -112,6 +112,7 @@ type wtab = {
   wlens : int array;
   winstrs : instr array;
   wclaims : Objfile.site option array;
+  wdecodes : int;  (* decodes the validation pass made *)
 }
 
 (* Offset-set membership bits, one byte per text offset. The scan probes
@@ -175,6 +176,7 @@ type st = {
   mutable n_prologue : int;
   mutable n_epilogue : int;
   mutable n_ssa : int;
+  mutable n_decodes : int;  (* every decode of the text, validation included *)
 }
 
 let has p st = Policy.Set.mem p st.policies
@@ -206,6 +208,10 @@ let enqueue st off =
     st.worklist <- off :: st.worklist
   end
 
+let decode st off =
+  st.n_decodes <- st.n_decodes + 1;
+  Codec.decode st.text off
+
 let decode_at st off =
   match st.wt with
   | Some wt when off >= 0 && off < st.tlen && wt.wlens.(off) > 0 ->
@@ -213,7 +219,7 @@ let decode_at st off =
     (wt.winstrs.(off), wt.wlens.(off))
   | _ ->
     if off < 0 || off >= st.tlen then reject off "control flow leaves the text section";
-    (match Codec.decode st.text off with
+    (match decode st off with
     | exception Codec.Decode_error _ -> reject off "undecodable instruction"
     | instr, len ->
       if off + len > st.tlen then reject off "instruction extends past the text section";
@@ -238,7 +244,7 @@ let match_template st off (slots : Annot.slot list) : (int array * int) option =
             decoded.(i) <- wt.winstrs.(!cur);
             cur := !cur + wt.wlens.(!cur)
           | _ -> (
-            match Codec.decode st.text !cur with
+            match decode st !cur with
             | exception Codec.Decode_error _ -> raise Exit
             | instr, len ->
               if !cur + len > st.tlen then raise Exit;
@@ -289,7 +295,7 @@ let find_store_group st off : (int array * int) option =
     try
       let cur = ref off in
       let skip () =
-        match Codec.decode st.text !cur with
+        match decode st !cur with
         | exception Codec.Decode_error _ -> raise Exit
         | i, len ->
           cur := !cur + len;
@@ -311,7 +317,7 @@ let find_store_group st off : (int array * int) option =
     | Some (units, tmpl_end) ->
       (* the guarded store itself *)
       (match
-         (try Some (Codec.decode st.text tmpl_end) with Codec.Decode_error _ -> None)
+         (try Some (decode st tmpl_end) with Codec.Decode_error _ -> None)
        with
       | Some (store_instr, slen) when tmpl_end + slen <= st.tlen ->
         (match maystore store_instr with
@@ -338,7 +344,7 @@ let find_cfi_group st off : (int array * int * [ `Jmp | `Call ]) option =
   match match_template st off Annot.cfi_template with
   | None -> None
   | Some (units, tmpl_end) ->
-    (match (try Some (Codec.decode st.text tmpl_end) with Codec.Decode_error _ -> None) with
+    (match (try Some (decode st tmpl_end) with Codec.Decode_error _ -> None) with
     | Some (JmpInd (Reg r), len) when r = Annot.cfi_target_reg ->
       Some (Array.append units [| tmpl_end |], tmpl_end + len, `Jmp)
     | Some (CallInd (Reg r), len) when r = Annot.cfi_target_reg ->
@@ -370,7 +376,9 @@ let validate_witness ~(text : bytes) (w : Objfile.witness) =
   (* stale witness: built for different bytes than were delivered *)
   if not (String.equal w.w_text_digest (Bytes.to_string (Sha256.digest text))) then
     wreject 0 "witness text digest does not match the delivered binary";
+  let decodes = ref 0 in
   let decodable off =
+    incr decodes;
     match Codec.decode text off with
     | exception Codec.Decode_error _ -> None
     | instr, len -> if off + len > tlen then None else Some (instr, len)
@@ -435,7 +443,7 @@ let validate_witness ~(text : bytes) (w : Objfile.witness) =
         wreject s.Objfile.w_off "duplicate witness site claim";
       wclaims.(s.Objfile.w_off) <- Some s)
     w.w_sites;
-  { wlens; winstrs; wclaims }
+  { wlens; winstrs; wclaims; wdecodes = !decodes }
 
 (* ------------------------------------------------------------------ *)
 (* Run scanning *)
@@ -912,6 +920,7 @@ let verify_with ?(tm = Telemetry.disabled) ~policies ~ssa_q
         n_prologue = 0;
         n_epilogue = 0;
         n_ssa = 0;
+        n_decodes = (match wtables with Some wt -> wt.wdecodes | None -> 0);
       }
     in
     st_cell := Some st;
@@ -982,6 +991,7 @@ let verify_with ?(tm = Telemetry.disabled) ~policies ~ssa_q
     | _ -> ());
     emit_pass_ns tm st;
     Telemetry.count tm "verifier.instructions" st.n_instr;
+    Telemetry.count tm "verifier.decodes" st.n_decodes;
     Telemetry.count tm "verifier.annot.store" st.n_store;
     Telemetry.count tm "verifier.annot.rsp" st.n_rsp;
     Telemetry.count tm "verifier.annot.cfi" st.n_cfi;
@@ -1106,6 +1116,7 @@ module Witness = struct
       n_prologue = 0;
       n_epilogue = 0;
       n_ssa = 0;
+      n_decodes = 0;
     }
 
   let build (obj : Objfile.t) : Objfile.witness =

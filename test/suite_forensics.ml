@@ -379,7 +379,10 @@ let test_profiler_retired_agrees_with_interp () =
       0 o.Session.telemetry.T.counters
   in
   Alcotest.(check int) "retired = sum of class counters" class_sum
-    (Profiler.retired profiler)
+    (Profiler.retired profiler);
+  Alcotest.(check (option int)) "the profiler is named as the reason the trace tier was off"
+    (Some 1)
+    (List.assoc_opt "interp.trace.off.profiler" o.Session.telemetry.T.counters)
 
 let test_profiler_symbol_attribution () =
   let p = Profiler.create ~interval:1 () in

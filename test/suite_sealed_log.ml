@@ -79,7 +79,7 @@ let write_text path s = Out_channel.with_open_bin path (fun oc -> output_string 
    replay uses *)
 let sealed_cache ~dir =
   let plat = platform () in
-  let p = Persist.create ~segment_entries:3 ~dir ~platform:plat () in
+  let p, _, _ = Persist.recover ~segment_entries:3 ~dir ~platform:plat () in
   let entry i =
     {
       Persist.tenant = (if i mod 2 = 0 then "t0" else "t1");
@@ -100,7 +100,8 @@ let sealed_cache ~dir =
   (plat, Filename.concat dir "verdict-cache.json")
 
 let reload ?chaos ~dir plat =
-  Persist.load ?chaos (Persist.create ~segment_entries:3 ~dir ~platform:plat ())
+  let _, entries, report = Persist.recover ?chaos ~segment_entries:3 ~dir ~platform:plat () in
+  (entries, report)
 
 (* ---- structural surgery on the shared layout ----------------------- *)
 
@@ -148,6 +149,7 @@ type tamper =
   | Torn  (** only the first half of the sealed text reaches the disk *)
   | Foreign_platform  (** read back under another platform's keys *)
   | Stale_segment  (** the previous generation's segment 0 served in its place *)
+  | Unreadable  (** a directory stands where the state file should be *)
 
 (* what the client must conclude: the audit verifier's first tamper, or
    the cache loader's (malformed, truncated, per-segment outcomes) *)
@@ -207,6 +209,8 @@ let rows =
     ("tamper: truncated tail", Edit (update_segments drop_last),
      Report (false, true, [ loaded 3; loaded 3 ]));
     ("tamper: torn write", Torn, Report (true, false, []));
+    (* reading fails on every retry: the server must still start, cold *)
+    ("tamper: unreadable state file", Unreadable, Report (true, false, []));
     ("tamper: old schema", Edit (set "schema" (Json.Str "deflection-server-cache/1")),
      Report (true, false, []));
     ("tamper: wrong platform", Foreign_platform, Report (false, true, [ bad; bad; bad ]));
@@ -222,7 +226,7 @@ let run_audit_row name tamper expected =
     match tamper with
     | Edit f -> Audit.verify ~platform:plat (f doc)
     | Foreign_platform -> Audit.verify ~platform:(foreign_platform ()) doc
-    | Torn | Stale_segment -> Alcotest.failf "%s: no audit-log analogue" name
+    | Torn | Stale_segment | Unreadable -> Alcotest.failf "%s: no audit-log analogue" name
   in
   match verdict with
   | Error t when t = expected -> ()
@@ -247,6 +251,10 @@ let run_cache_row name tamper (malformed, truncated, segments) =
     | Stale_segment ->
       let faults = [ Chaos.Stale_segment { segment = 0 } ] in
       reload ~dir plat ~chaos:(Chaos.of_plan { Chaos.seed = 1L; faults })
+    | Unreadable ->
+      Sys.remove path;
+      Sys.mkdir path 0o755;
+      Fun.protect ~finally:(fun () -> Sys.rmdir path) (fun () -> reload ~dir plat)
   in
   let survivors = List.fold_left (fun n -> function Persist.Seg_loaded k -> n + k | _ -> n) 0 in
   if
@@ -359,7 +367,7 @@ let test_cache_total_parser () =
       if List.exists (fun e -> not (List.mem (fingerprint e) held)) es then
         Alcotest.failf "mutant %d: loaded an entry the sealed file did not hold" i;
       if List.length es < 8 then incr lost
-    | exception e -> Alcotest.failf "mutant %d: Persist.load raised %s" i (Printexc.to_string e)
+    | exception e -> Alcotest.failf "mutant %d: Persist.recover raised %s" i (Printexc.to_string e)
   done;
   Alcotest.(check bool) "mutants cost entries" true (!lost > mutants / 2)
 

@@ -296,9 +296,7 @@ let test_cross_mode_state_not_warmed () =
   | `Killed -> Alcotest.fail "unexpected kill");
   (* the sealed file records the descent mode on every entry *)
   let platform = Attestation.Platform.create ~seed:cfg.Server.seed in
-  let entries, report =
-    Persist.load (Persist.create ~segment_entries:3 ~dir ~platform ())
-  in
+  let _, entries, report = Persist.recover ~segment_entries:3 ~dir ~platform () in
   Alcotest.(check bool) "state sealed" true (report.Persist.entries_loaded > 0);
   List.iter
     (fun e -> Alcotest.(check string) "entry carries mode" "descent" e.Persist.mode)

@@ -5,7 +5,6 @@
 
 module T = Deflection_telemetry.Telemetry
 module Hdr = Deflection_telemetry.Hdr
-module Benchdiff = Deflection_telemetry.Benchdiff
 module Json = Deflection_telemetry.Json
 module Policy = Deflection_policy.Policy
 module Session = Deflection.Session
@@ -436,114 +435,6 @@ let test_hdr_json () =
   | Some (Json.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "buckets missing"
 
-(* ------------------------------------------------------------------ *)
-(* Benchdiff comparator *)
-
-let bench_doc ?(warm_over_cold = 1.8) ?(instr_per_sec = 500_000.0) () =
-  Json.Obj
-    [
-      ( "sections",
-        Json.Obj
-          [
-            ( "gateway",
-              Json.Obj
-                [
-                  ("warm_over_cold_x", Json.Float warm_over_cold);
-                  ("cold_sessions_per_s", Json.Float 12.0);
-                ] );
-            ("fuzz", Json.Obj [ ("verify_instr_per_sec", Json.Float instr_per_sec) ]);
-            ("table2", Json.Obj [ ("instr_per_sec", Json.Float 8_000_000.0) ]);
-          ] );
-    ]
-
-let verdict_of report name =
-  match
-    List.find_opt
-      (fun (c : Benchdiff.comparison) -> c.Benchdiff.c_metric.Benchdiff.m_name = name)
-      report.Benchdiff.comparisons
-  with
-  | Some c -> c.Benchdiff.c_verdict
-  | None -> Alcotest.failf "metric %s not compared" name
-
-let test_benchdiff_median () =
-  Alcotest.(check (float 1e-9)) "odd" 2.0 (Benchdiff.median [ 3.0; 1.0; 2.0 ]);
-  Alcotest.(check (float 1e-9)) "even" 2.5 (Benchdiff.median [ 4.0; 1.0; 2.0; 3.0 ]);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Benchdiff.median [])
-
-let test_benchdiff_verdicts () =
-  let baseline = [ bench_doc () ] in
-  (* unchanged: everything neutral, gate ok *)
-  let same = Benchdiff.compare_docs ~baseline ~current:(bench_doc ()) in
-  Alcotest.(check int) "no regressions" 0 same.Benchdiff.regressions;
-  Alcotest.(check bool) "ok" true same.Benchdiff.ok;
-  (* a 2x slowdown on a higher-is-better metric is a regression *)
-  let slow =
-    Benchdiff.compare_docs ~baseline ~current:(bench_doc ~instr_per_sec:250_000.0 ())
-  in
-  Alcotest.(check bool) "slowdown flagged" true
-    (verdict_of slow "fuzz.verify_instr_per_sec" = Benchdiff.Worse);
-  Alcotest.(check bool) "gate fails" false slow.Benchdiff.ok;
-  (* a 2x speedup is an improvement, not a regression *)
-  let fast =
-    Benchdiff.compare_docs ~baseline ~current:(bench_doc ~instr_per_sec:1_000_000.0 ())
-  in
-  Alcotest.(check bool) "speedup flagged" true
-    (verdict_of fast "fuzz.verify_instr_per_sec" = Benchdiff.Better);
-  Alcotest.(check bool) "speedup passes gate" true fast.Benchdiff.ok;
-  (* a wobble inside the tolerance band stays neutral *)
-  let wobble =
-    Benchdiff.compare_docs ~baseline ~current:(bench_doc ~instr_per_sec:450_000.0 ())
-  in
-  Alcotest.(check bool) "noise is neutral" true
-    (verdict_of wobble "fuzz.verify_instr_per_sec" = Benchdiff.Neutral)
-
-let test_benchdiff_median_baseline () =
-  (* median-of-3 absorbs one outlier baseline run: the slow outlier must
-     not drag the baseline down and mask a real regression *)
-  let baseline =
-    [
-      bench_doc ~instr_per_sec:500_000.0 ();
-      bench_doc ~instr_per_sec:510_000.0 ();
-      bench_doc ~instr_per_sec:50_000.0 ();
-    ]
-  in
-  let r = Benchdiff.compare_docs ~baseline ~current:(bench_doc ~instr_per_sec:250_000.0 ()) in
-  Alcotest.(check bool) "regression vs median baseline" true
-    (verdict_of r "fuzz.verify_instr_per_sec" = Benchdiff.Worse)
-
-let test_benchdiff_missing () =
-  (* a section absent on either side is Missing and never fails the gate *)
-  let quick = Json.Obj [ ("sections", Json.Obj [ ("table1", Json.Obj [] ) ]) ] in
-  let r = Benchdiff.compare_docs ~baseline:[ bench_doc () ] ~current:quick in
-  List.iter
-    (fun (c : Benchdiff.comparison) ->
-      Alcotest.(check bool)
-        (c.Benchdiff.c_metric.Benchdiff.m_name ^ " missing")
-        true
-        (c.Benchdiff.c_verdict = Benchdiff.Missing))
-    r.Benchdiff.comparisons;
-  Alcotest.(check bool) "missing passes gate" true r.Benchdiff.ok
-
-let test_benchdiff_report_json () =
-  let report =
-    Benchdiff.compare_docs ~baseline:[ bench_doc () ]
-      ~current:(bench_doc ~instr_per_sec:250_000.0 ())
-  in
-  let json =
-    Benchdiff.report_to_json ~baseline_files:[ "a.json" ] ~current_file:"b.json" report
-  in
-  (match Json.member "schema" json with
-  | Some (Json.Str "deflection-benchdiff/1") -> ()
-  | _ -> Alcotest.fail "schema field wrong");
-  (match Json.member "ok" json with
-  | Some (Json.Bool false) -> ()
-  | _ -> Alcotest.fail "ok flag wrong");
-  match Json.member "metrics" json with
-  | Some (Json.List ms) ->
-    Alcotest.(check int) "all tracked metrics reported" (List.length Benchdiff.tracked)
-      (List.length ms)
-  | _ -> Alcotest.fail "metrics array missing"
-
 let suite =
   [
     Alcotest.test_case "span nesting and monotonicity" `Quick test_span_nesting;
@@ -568,9 +459,4 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_hdr_merge_associative;
     Alcotest.test_case "hdr merge rejects sub_bits mismatch" `Quick test_hdr_merge_mismatch;
     Alcotest.test_case "hdr json export" `Quick test_hdr_json;
-    Alcotest.test_case "benchdiff median" `Quick test_benchdiff_median;
-    Alcotest.test_case "benchdiff verdicts" `Quick test_benchdiff_verdicts;
-    Alcotest.test_case "benchdiff median-of-N baseline" `Quick test_benchdiff_median_baseline;
-    Alcotest.test_case "benchdiff missing metrics" `Quick test_benchdiff_missing;
-    Alcotest.test_case "benchdiff verdict document" `Quick test_benchdiff_report_json;
   ]

@@ -14,9 +14,11 @@
      (an OCall handler patching a live loop);
    - forced-fallback tests pin that chaos plans and the fuzz monitor
      (which need per-instruction observation) reach verdicts identical
-     to an unmonitored trace-tier run;
+     to an unmonitored trace-tier run, and that the run names why it
+     left the trace tier;
    - the committed nBench golden digests are re-asserted under both
-     tiers for a subset of workloads. *)
+     tiers for a subset of workloads, and the trace run's counters are
+     pinned exactly. *)
 
 module Gen = Deflection_fuzz.Gen
 module Monitor = Deflection_fuzz.Monitor
@@ -345,6 +347,9 @@ let test_patch_mid_run () =
 (* Forced fallback: chaos plans and the fuzz monitor pin the
    single-step tier; their verdicts must match trace-tier runs. *)
 
+let off_reason (o : Session.outcome) reason =
+  List.assoc_opt ("interp.trace.off." ^ reason) o.Session.telemetry.counters
+
 let chaos_outcomes_match ~fault src inputs =
   let plan = { Chaos.seed = 77L; faults = [ fault ] } in
   let run tier =
@@ -363,6 +368,8 @@ let chaos_outcomes_match ~fault src inputs =
   Alcotest.(check int) "instructions" a.Session.instructions b.Session.instructions;
   Alcotest.(check int) "aexes" a.Session.aexes b.Session.aexes;
   Alcotest.(check bool) "outputs" true (a.Session.outputs = b.Session.outputs);
+  Alcotest.(check (option int)) "the step tier is named as the reason" (Some 1)
+    (off_reason b "step_tier");
   a
 
 let fallback_src = (Gen.generate ~seed:4242L).Gen.source
@@ -380,7 +387,9 @@ let test_fallback_fuel_limit () =
     chaos_outcomes_match ~fault:(Chaos.Fuel_limit { fuel = 50 }) fallback_src
       fallback_inputs
   in
-  Alcotest.(check bool) "watchdog fired" true (o.Session.exit = Interp.Fuel_exhausted)
+  Alcotest.(check bool) "watchdog fired" true (o.Session.exit = Interp.Fuel_exhausted);
+  Alcotest.(check (option int)) "the fuel budget is named as a reason" (Some 1)
+    (off_reason o "fuel")
 
 let test_monitor_matches_trace () =
   (* the P1-P5 monitor single-steps with its own pre/post hooks; a clean
@@ -442,29 +451,69 @@ let read_golden () =
     Some (go [])
   with Sys_error _ -> None
 
+(* The trace run's schedule-independent counters, pinned exactly: a run
+   forced onto the step tier, chaining that stops using its successor
+   slots, or blocks that stop at the wrong place each move them. Each
+   injected AEX (one in NUMERIC SORT, two in IDEA) dumps the SSA through
+   a privileged write, which moves the code generation: that is the
+   invalidation count. *)
+let trace_golden =
+  [
+    ( "NUMERIC SORT",
+      [
+        ("interp.instructions", 3_075_766);
+        ("interp.cycles", 1_992_058);
+        ("interp.trace.in_block", 3_075_758);
+        ("interp.trace.steps.boundary", 6);
+        ("interp.trace.steps.no_block", 2);
+        ("interp.trace.blocks_compiled", 579);
+        ("interp.trace.lookups", 616);
+        ("interp.trace.invalidations", 1);
+      ] );
+    ( "IDEA",
+      [
+        ("interp.instructions", 2_794_220);
+        ("interp.cycles", 2_807_164);
+        ("interp.trace.in_block", 2_794_214);
+        ("interp.trace.steps.boundary", 4);
+        ("interp.trace.steps.no_block", 2);
+        ("interp.trace.blocks_compiled", 1_177);
+        ("interp.trace.lookups", 1_219);
+        ("interp.trace.invalidations", 2);
+      ] );
+  ]
+
 let test_golden_digests () =
   match read_golden () with
   | None -> Alcotest.failf "golden digest file missing: %s" golden_path
   | Some golden ->
     List.iter
-      (fun name ->
+      (fun (name, counters) ->
         let b =
           match W.Nbench.find name with
           | Some b -> b
           | None -> Alcotest.failf "unknown workload %s" name
         in
-        let digest tier =
+        let run tier =
           match W.Runner.run ~tier b.W.Nbench.source with
-          | Ok m -> Sha256.hex_digest_string (String.concat "\n" m.W.Runner.outputs)
+          | Ok m -> m
           | Error e -> Alcotest.failf "%s failed: %s" name e
         in
-        let ds = digest Interp.Step in
-        let dt = digest Interp.Trace in
+        let digest m = Sha256.hex_digest_string (String.concat "\n" m.W.Runner.outputs) in
+        let ds = digest (run Interp.Step) in
+        let mt = run Interp.Trace in
+        let dt = digest mt in
         Alcotest.(check string) (name ^ ": tiers agree") ds dt;
-        match List.assoc_opt name golden with
+        (match List.assoc_opt name golden with
         | Some hex -> Alcotest.(check string) (name ^ ": matches golden") hex dt
-        | None -> Alcotest.failf "%s: no golden digest committed" name)
-      [ "NUMERIC SORT"; "IDEA" ]
+        | None -> Alcotest.failf "%s: no golden digest committed" name);
+        let value k =
+          Option.value ~default:(-1) (List.assoc_opt k mt.W.Runner.telemetry.counters)
+        in
+        Alcotest.(check (list (pair string int)))
+          (name ^ ": trace counters") counters
+          (List.map (fun (k, _) -> (k, value k)) counters))
+      trace_golden
 
 let suite =
   [

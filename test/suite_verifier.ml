@@ -514,6 +514,53 @@ let test_pass_labels_round_trip () =
     (fun label -> Alcotest.(check bool) label true (Verifier.pass_of_label label = None))
     [ ""; "Scan"; "descent"; "witness " ]
 
+(* Decodes per verification, pinned exactly in both modes. The descent
+   finds each template by trial decoding; the witnessed replay reads the
+   validation pass's decode table, so a replay that re-decodes claimed
+   boundaries moves its count. Each row: (program, descent, witnessed);
+   the services are code-heavy, run-light binaries of 20 and 160 small
+   annotated functions. *)
+let service_source funcs =
+  let fn i =
+    Printf.sprintf
+      "int f%d(int x) { int a[8]; a[x %% 8] = x + %d; a[(x + 1) %% 8] = a[x %% 8] * 3; \
+       return a[x %% 8] + a[(x + 1) %% 8]; }\n"
+      i i
+  in
+  String.concat "" (List.init funcs fn)
+  ^ "int main() {\n  int s = 0;\n"
+  ^ String.concat "" (List.init funcs (fun i -> Printf.sprintf "  s = s + f%d(%d);\n" i i))
+  ^ "  print_int(s);\n  return 0;\n}\n"
+
+let decode_golden =
+  let nbench name = (Option.get (Deflection_workloads.Nbench.find name)).source in
+  let gen seed = (Deflection_fuzz.Gen.generate ~seed).Deflection_fuzz.Gen.source in
+  [
+    ("NUMERIC SORT", nbench "NUMERIC SORT", 10_052, 721);
+    ("gen 1", gen 1L, 9_075, 533);
+    ("gen 2", gen 2L, 4_473, 307);
+    ("gen 3", gen 3L, 11_570, 698);
+    ("service 20", service_source 20, 58_789, 3_697);
+    ("service 160", service_source 160, 466_959, 29_107);
+  ]
+
+let test_decode_golden () =
+  let decodes name mode obj =
+    let tm = Deflection_telemetry.Telemetry.create () in
+    (match Verifier.verify_mode ~tm ~mode ~policies:Policy.Set.p1_p6 ~ssa_q:20 obj with
+    | Ok _ -> ()
+    | Error r -> Alcotest.failf "%s rejected: %a" name Verifier.pp_rejection r);
+    Deflection_telemetry.Telemetry.counter_total tm "verifier.decodes"
+  in
+  List.iter
+    (fun (name, src, descent, witnessed) ->
+      let obj = Frontend.compile_exn ~policies:Policy.Set.p1_p6 ~ssa_q:20 src in
+      Alcotest.(check (pair int int))
+        (name ^ ": decodes (descent, witnessed)")
+        (descent, witnessed)
+        (decodes name Verifier.Descent obj, decodes name Verifier.Witnessed obj))
+    decode_golden
+
 let suite =
   [
     Alcotest.test_case "pass labels round-trip" `Quick test_pass_labels_round_trip;
@@ -544,6 +591,7 @@ let suite =
     Alcotest.test_case "golden: lying ssa_q" `Quick test_golden_lying_ssa_q;
     Alcotest.test_case "golden: bare RSP write" `Quick test_golden_bare_rsp_write;
     Alcotest.test_case "classification partitions text" `Quick test_classification_partitions_text;
+    Alcotest.test_case "golden: decodes per program, both modes" `Quick test_decode_golden;
     Alcotest.test_case "empty classification" `Quick test_empty_classification;
     QCheck_alcotest.to_alcotest qcheck_verifier_total;
     QCheck_alcotest.to_alcotest qcheck_verifier_random_sources_accepted;
