@@ -1387,6 +1387,7 @@ let trace_counters t =
   | [] ->
     let steps = t.tc_boundary + t.tc_no_block in
     [
+      ("leaders", Hashtbl.length t.leaders);
       ("blocks_compiled", t.tc_compiled);
       ("lookups", t.tc_lookups);
       ("steps.boundary", t.tc_boundary);

@@ -167,9 +167,11 @@ val set_block_leaders : t -> int list -> unit
 
 val trace_counters : t -> (string * int) list
 (** Why and how the last {!run} used the trace tier, as schedule-
-    independent counts. When it ran the tier: [blocks_compiled],
-    block-table [lookups] (the validating dispatch, and chaining when
-    neither successor slot matches), single steps at an AEX or
+    independent counts. When it ran the tier: the [leaders]
+    {!set_block_leaders} installed (0 when none were, as for a verdict
+    recovered from a persisted cache), [blocks_compiled], block-table
+    [lookups] (the validating dispatch, and chaining when neither
+    successor slot matches), single steps at an AEX or
     instruction-limit boundary ([steps.boundary]) and where no block
     compiles — OCALL/HLT or an uncompilable first instruction
     ([steps.no_block]), block-table [invalidations] after a code patch,

@@ -61,16 +61,19 @@ let offsets = function
 
 (* The injective per-entry encoding the segment MAC covers: every field
    length-prefixed by Sealed_log.mac_body, variable-length offset lists
-   preceded by their count. *)
-let canonical_entry (e : entry) =
+   preceded by their count. Takes the offsets apart from the entry because
+   a decoded entry holds them as read until the MAC has vouched for them. *)
+let canonical ((e : entry), offsets) =
   let count label l = label :: string_of_int (List.length l) :: List.map string_of_int l in
   Sealed_log.mac_body "deflection-server-entry/1"
     (e.tenant :: Hex.encode_string e.key :: e.mode
      :: Verdict_codec.canonical (Result.map fst e.verdict)
     @
-    match offsets e.verdict with
+    match offsets with
     | Some (machinery, guarded) -> count "machinery" machinery @ count "guarded" guarded
     | None -> [])
+
+let canonical_entry e = canonical (e, offsets e.verdict)
 
 let entry_to_json e =
   let ints l = Json.List (List.map (fun o -> Json.Int o) l) in
@@ -99,15 +102,23 @@ let entry_of_json j =
   let* _ = Option.to_result ~none:"unknown verification mode" (Verifier.mode_of_label mode) in
   let* vj = Sealed_log.Field.get "verdict" j in
   let* v = Verdict_codec.of_json vj in
-  let* verdict =
+  let* verdict, offsets =
     match v with
-    | Error rej -> Ok (Error rej)
+    | Error rej -> Ok (Error rej, None)
     | Ok rep ->
       let* machinery = int_list "machinery" vj in
       let* guarded_stores = int_list "guarded_stores" vj in
-      Ok (Ok (rep, Verifier.classification_of_offsets ~machinery ~guarded_stores))
+      Ok (Ok (rep, Verifier.empty_classification ()), Some (machinery, guarded_stores))
   in
-  Ok { tenant; key = Bytes.to_string key; mode; verdict }
+  Ok ({ tenant; key = Bytes.to_string key; mode; verdict }, offsets)
+
+(* The classification is sized by its largest offset, so it is rebuilt
+   only from offsets a verified segment MAC vouches for. *)
+let with_classification (e, offsets) =
+  match (e.verdict, offsets) with
+  | Ok (rep, _), Some (machinery, guarded_stores) ->
+    { e with verdict = Ok (rep, Verifier.classification_of_offsets ~machinery ~guarded_stores) }
+  | _ -> e
 
 let rec chunks n = function
   | [] -> []
@@ -239,7 +250,7 @@ let load ~chaos t =
       doc;
     let parsed =
       let* doc = doc in
-      Sealed_log.parse t.log ~decode:entry_of_json ~canonical:canonical_entry ~bound:[]
+      Sealed_log.parse t.log ~decode:entry_of_json ~canonical ~bound:[]
         (apply_host_tamper ~chaos t doc)
     in
     match parsed with
@@ -248,9 +259,10 @@ let load ~chaos t =
       let segments, entries =
         List.split
           (List.map
-             (fun (s : entry Sealed_log.segment) ->
+             (fun (s : _ Sealed_log.segment) ->
                match s.outcome with
-               | Sealed_log.Verified es -> (Seg_loaded (List.length es), es)
+               | Sealed_log.Verified es ->
+                 (Seg_loaded (List.length es), List.map with_classification es)
                | Bad_mac _ -> (Seg_bad_mac, [])
                | Malformed _ -> (Seg_malformed, []))
              p.segments)

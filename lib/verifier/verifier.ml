@@ -69,38 +69,6 @@ let wreject offset reason = raise (Reject_w (offset, reason))
    the nominal period while flags are live; see Instrument.maybe_ssa_check. *)
 let ssa_slack = 8
 
-type classification = {
-  machinery : (int, unit) Hashtbl.t;
-  guarded_stores : (int, unit) Hashtbl.t;
-  leaders : (int, unit) Hashtbl.t;
-      (* basic-block leader offsets discovered during the descent: branch
-         targets, function entries, stubs, the AEX handler and _start.
-         A performance hint for the trace tier, not part of the verdict. *)
-}
-
-let is_machinery c off = Hashtbl.mem c.machinery off
-let is_guarded_store c off = Hashtbl.mem c.guarded_stores off
-
-let empty_classification () =
-  { machinery = Hashtbl.create 1; guarded_stores = Hashtbl.create 1; leaders = Hashtbl.create 1 }
-
-let sorted_offsets h = Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort compare
-
-(* Flat views for persistence: a classification is fully determined by
-   its two offset sets, so (sorted offsets out, offsets in) round-trips.
-   Leaders are deliberately not persisted — a recovered verdict merely
-   loses the block-boundary hint, never soundness. *)
-let classification_offsets c = (sorted_offsets c.machinery, sorted_offsets c.guarded_stores)
-let classification_leaders c = sorted_offsets c.leaders
-
-let classification_of_offsets ~machinery ~guarded_stores =
-  let tbl xs =
-    let h = Hashtbl.create (max 1 (List.length xs)) in
-    List.iter (fun o -> Hashtbl.replace h o ()) xs;
-    h
-  in
-  { machinery = tbl machinery; guarded_stores = tbl guarded_stores; leaders = Hashtbl.create 1 }
-
 (* Witnessed-replay tables, offset-indexed. [wlens.(off)] is the claimed
    instruction length at a claimed boundary (0 elsewhere), [winstrs.(off)]
    the instruction the validation pass decoded there, [wclaims.(off)] the
@@ -128,6 +96,41 @@ let f_members = 8
 let f_guarded = 16
 let f_ssa = 32
 let f_enqueued = 64
+
+(* The membership bits of [off]; none outside [flags]. *)
+let flag_bits flags off =
+  if off >= 0 && off < Bytes.length flags then Char.code (Bytes.unsafe_get flags off) else 0
+
+(* An accepted scan's classification: a snapshot of its flag bytes, in
+   which machinery is [f_members] without [f_guarded] and a guarded store
+   carries [f_guarded], plus the sorted basic-block leaders. The leaders
+   are a performance hint for the trace tier, not part of the verdict. *)
+type classification = { cflags : Bytes.t; leaders : int array }
+
+let is_machinery c off = flag_bits c.cflags off land (f_members lor f_guarded) = f_members
+let is_guarded_store c off = flag_bits c.cflags off land f_guarded <> 0
+let empty_classification () = { cflags = Bytes.empty; leaders = [||] }
+
+(* Flat views for persistence: a classification is fully determined by
+   its two offset sets, so (sorted offsets out, offsets in) round-trips.
+   Leaders are deliberately not persisted — a recovered verdict merely
+   loses the block-boundary hint, never soundness. *)
+let classification_offsets c =
+  let machinery = ref [] and guarded = ref [] in
+  for off = Bytes.length c.cflags - 1 downto 0 do
+    if is_machinery c off then machinery := off :: !machinery;
+    if is_guarded_store c off then guarded := off :: !guarded
+  done;
+  (!machinery, !guarded)
+
+let classification_leaders c = Array.to_list c.leaders
+
+let classification_of_offsets ~machinery ~guarded_stores =
+  let cflags = Bytes.make (List.fold_left max (-1) (machinery @ guarded_stores) + 1) '\000' in
+  let mark bit = List.iter (fun o -> Bytes.set cflags o (Char.chr (flag_bits cflags o lor bit))) in
+  mark f_members machinery;
+  mark f_guarded guarded_stores;
+  { cflags; leaders = [||] }
 
 type st = {
   text : bytes;
@@ -184,13 +187,10 @@ let has p st = Policy.Set.mem p st.policies
 (* Flag-set probes. [fmem] treats out-of-range offsets as absent, exactly
    as a hash-table miss did; [fset] callers only pass in-range offsets
    (instruction starts the scan decoded) except [enqueue], which guards. *)
-let fmem st mask off =
-  off >= 0 && off < Bytes.length st.flags
-  && Char.code (Bytes.unsafe_get st.flags off) land mask <> 0
+let fmem st mask off = flag_bits st.flags off land mask <> 0
 
 let fset st mask off =
-  Bytes.unsafe_set st.flags off
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get st.flags off) lor mask))
+  Bytes.unsafe_set st.flags off (Char.unsafe_chr (flag_bits st.flags off lor mask))
 
 (* Push a discovered control-flow target exactly once: skip offsets that
    are already scanned or already pending. The pop-time visited check in
@@ -998,23 +998,18 @@ let verify_with ?(tm = Telemetry.disabled) ~policies ~ssa_q
     Telemetry.count tm "verifier.annot.prologue" st.n_prologue;
     Telemetry.count tm "verifier.annot.epilogue" st.n_epilogue;
     Telemetry.count tm "verifier.annot.ssa" st.n_ssa;
-    (* materialize the classification sets from the flag array: machinery
-       is members minus guarded stores, leaders are the verified
-       basic-block boundaries — every offset the descent proved to be a
-       legitimate control-flow entry *)
-    let machinery = Hashtbl.create 256 in
-    let guarded_stores = Hashtbl.create 64 in
-    let leaders = Hashtbl.create 256 in
-    for off = 0 to Bytes.length st.flags - 1 do
-      let f = Char.code (Bytes.unsafe_get st.flags off) in
-      if f land f_members <> 0 && f land f_guarded = 0 then Hashtbl.replace machinery off ();
-      if f land f_guarded <> 0 then Hashtbl.replace guarded_stores off ();
-      if f land f_starts <> 0 then Hashtbl.replace leaders off ()
-    done;
-    Hashtbl.iter (fun off _ -> Hashtbl.replace leaders off ()) st.user_funs;
-    Hashtbl.iter (fun off _ -> Hashtbl.replace leaders off ()) st.stub_at;
-    Hashtbl.replace leaders st.aex_handler_off ();
-    Hashtbl.replace leaders st.start_off ();
+    (* The classification snapshots the flag bytes. Its leaders are where
+       a jump or call can land: the direct jump and call targets the CFG
+       pass just accepted, the user function entries, the abort stubs, the
+       AEX handler and _start. Any other instruction start is entered by
+       falling through, or by a return, after the branch, call or ret that
+       ends a compiled block anyway; the trace tier compiles across it. *)
+    let add_key off _ acc = off :: acc in
+    let leaders =
+      st.aex_handler_off :: st.start_off :: List.map snd (st.jump_targets @ st.call_targets)
+      |> Hashtbl.fold add_key st.user_funs
+      |> Hashtbl.fold add_key st.stub_at
+    in
     Ok
       ( {
           instructions_checked = st.n_instr;
@@ -1025,7 +1020,8 @@ let verify_with ?(tm = Telemetry.disabled) ~policies ~ssa_q
           epilogues = st.n_epilogue;
           ssa_checks = st.n_ssa;
         },
-        { machinery; guarded_stores; leaders } )
+        { cflags = Bytes.copy st.flags; leaders = Array.of_list (List.sort_uniq compare leaders) }
+      )
   with
   | Reject _ | Reject_w _ as exn ->
     let pass, offset, reason =

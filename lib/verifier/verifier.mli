@@ -90,14 +90,15 @@ val classification_offsets : classification -> int list * int list
 
 val classification_of_offsets :
   machinery:int list -> guarded_stores:int list -> classification
-(** Rebuild a classification from {!classification_offsets} output. The
-    rebuilt value has no {!classification_leaders} — persisted verdicts
+(** Rebuild a classification from {!classification_offsets} output, sized
+    by the largest offset given (a negative one raises [Invalid_argument]).
+    The rebuilt value has no {!classification_leaders} — persisted verdicts
     drop the block-boundary hint, never soundness. *)
 
 val classification_leaders : classification -> int list
-(** Sorted text offsets of the verified basic-block leaders the recursive
-    descent discovered: branch targets, function entries, abort stubs,
-    the AEX handler and [_start]. The trace tier uses them (via
+(** Sorted text offsets of the verified basic-block leaders the scan
+    discovered: direct jump and call targets, function entries, abort
+    stubs, the AEX handler and [_start]. The trace tier uses them (via
     {!Deflection_runtime.Interp.set_block_leaders}) to end compiled
     blocks at control-flow join points instead of re-discovering them. *)
 

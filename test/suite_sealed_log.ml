@@ -217,6 +217,16 @@ let rows =
     (* its MAC carries the old generation, so exactly that segment dies *)
     ("tamper: stale segment replay", Stale_segment,
      Report (false, false, [ bad; loaded 3; loaded 2 ]));
+    (* a classification is sized by its largest offset, so an offset is
+       used only after the segment MAC vouched for it *)
+    ("tamper: huge classification offset",
+     Edit
+       (map_segment 0
+          (update_entries
+             (List.mapi (fun i e ->
+                  if i > 0 then e
+                  else update "verdict" (set "machinery" (Json.List [ Json.Int max_int ])) e)))),
+     Report (false, false, [ bad; loaded 3; loaded 2 ]));
   ]
 
 let run_audit_row name tamper expected =

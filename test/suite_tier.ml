@@ -453,7 +453,9 @@ let read_golden () =
 
 (* The trace run's schedule-independent counters, pinned exactly: a run
    forced onto the step tier, chaining that stops using its successor
-   slots, or blocks that stop at the wrong place each move them. Each
+   slots, or blocks that stop at the wrong place each move them. The
+   leaders are the verifier's branch targets and entries; handing over
+   every instruction start instead cuts blocks to ~1.5 instructions. Each
    injected AEX (one in NUMERIC SORT, two in IDEA) dumps the SSA through
    a privileged write, which moves the code generation: that is the
    invalidation count. *)
@@ -463,22 +465,24 @@ let trace_golden =
       [
         ("interp.instructions", 3_075_766);
         ("interp.cycles", 1_992_058);
-        ("interp.trace.in_block", 3_075_758);
-        ("interp.trace.steps.boundary", 6);
+        ("interp.trace.leaders", 42);
+        ("interp.trace.in_block", 3_075_754);
+        ("interp.trace.steps.boundary", 10);
         ("interp.trace.steps.no_block", 2);
-        ("interp.trace.blocks_compiled", 579);
-        ("interp.trace.lookups", 616);
+        ("interp.trace.blocks_compiled", 182);
+        ("interp.trace.lookups", 219);
         ("interp.trace.invalidations", 1);
       ] );
     ( "IDEA",
       [
         ("interp.instructions", 2_794_220);
         ("interp.cycles", 2_807_164);
-        ("interp.trace.in_block", 2_794_214);
-        ("interp.trace.steps.boundary", 4);
+        ("interp.trace.leaders", 61);
+        ("interp.trace.in_block", 2_794_201);
+        ("interp.trace.steps.boundary", 17);
         ("interp.trace.steps.no_block", 2);
-        ("interp.trace.blocks_compiled", 1_177);
-        ("interp.trace.lookups", 1_219);
+        ("interp.trace.blocks_compiled", 348);
+        ("interp.trace.lookups", 388);
         ("interp.trace.invalidations", 2);
       ] );
   ]
