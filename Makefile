@@ -1,14 +1,13 @@
 # Convenience targets around dune. `make check` is the full gate: build,
 # the complete test suite (which pins the structural counters: trace-tier
-# coverage, verifier decodes, Table II cycles), a quick benchmark pass
-# (including the profiler section and the execution-tier section, whose
-# differential gate asserts byte-identical observables and the committed
-# nBench golden output digests under both tiers), a forensics smoke run
-# that must die with the documented exit code, a chaos smoke campaign that
-# must stay fail-closed, a fixed-seed differential fuzz campaign (with
-# adversarial witness mutations) that must stay sound and complete, a
-# gateway smoke batch fanned out over two domains with the attested audit
-# plane on (the sealed log must verify and pass its schema check), a
+# coverage, verifier decodes, Table II cycles; and the committed nBench
+# golden output digests), a quick benchmark pass (including the profiler
+# section), a forensics smoke run that must die with the documented exit
+# code, a chaos smoke campaign that must stay fail-closed, a fixed-seed
+# differential fuzz campaign (with adversarial witness mutations) that
+# must stay sound and complete, a gateway smoke batch fanned out over
+# two domains with the attested audit plane on (the sealed log must
+# verify and pass its schema check), a
 # persistent server smoke (cold serve with sealed-cache persistence, then
 # a restart that must come back warm, both schema-checked and
 # audit-verified), a server chaos mini-campaign that must stay fail-closed
@@ -32,7 +31,7 @@ bench:
 check:
 	dune build
 	dune runtest
-	dune exec bench/main.exe -- --quick table2 profile tier
+	dune exec bench/main.exe -- --quick table2 profile
 	dune exec bin/json_check.exe -- --bench bench/results/latest.json
 	dune exec bin/json_check.exe -- bench/results/profile-numeric-sort.json
 	dune exec bin/deflectionc.exe -- run examples/minic/violate_store.mc \

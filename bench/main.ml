@@ -5,8 +5,8 @@
      dune exec bench/main.exe -- table2 fig7  -- a subset
      dune exec bench/main.exe -- --quick      -- reduced sweeps
 
-   Sections: table1, table2, tier, fig7..fig11, ablation, related,
-   profile, chaos, fuzz.
+   Sections: table1, table2, fig7..fig11, ablation, related, profile,
+   chaos, fuzz.
 
    Overheads are deterministic virtual-cycle ratios (see DESIGN.md);
    absolute magnitudes need not match the paper's SGX testbed, the shapes
@@ -16,8 +16,8 @@
    bench/results/latest.json under the deflection-bench/1 schema
    (`json_check --bench` gates on it). Wall-clock regressions are the
    business of bench/e2e and its BENCHMARK.json bounds; the structural
-   counters (trace-tier coverage, verifier decodes, Table II cycles) are
-   pinned by goldens under `dune runtest`. *)
+   counters (trace-tier coverage, verifier decodes, Table II cycles) and
+   the nBench output digests are pinned by goldens under `dune runtest`. *)
 
 module W = Deflection_workloads
 module Profiler = Deflection_forensics.Profiler
@@ -201,148 +201,6 @@ let table2 () =
                  ("P1-P6", Json.Float g6);
                ] );
            ("instructions_executed", Json.Int !instrs);
-         ]))
-
-(* ------------------------------------------------------------------ *)
-(* Execution tiers: the trace-compiled tier against the single-stepper.
-   Every nBench workload runs under P1-P6 on both tiers; the outputs
-   must hash to the committed golden SHA-256 digests
-   (bench/golden/nbench.sha256) and every deterministic counter must
-   agree across tiers — this is the bench-side half of the differential
-   gate (test/suite_tier.ml is the other half). *)
-
-module Sha256 = Deflection_crypto.Sha256
-
-let golden_path = Filename.concat (Filename.concat "bench" "golden") "nbench.sha256"
-
-let read_golden () =
-  try
-    let ic = open_in golden_path in
-    let rec go acc =
-      match input_line ic with
-      | line -> (
-        (* workload names contain spaces, so split on the LAST space *)
-        let line = String.trim line in
-        match String.rindex_opt line ' ' with
-        | Some i ->
-          let name = String.sub line 0 i
-          and hex = String.sub line (i + 1) (String.length line - i - 1) in
-          go ((name, hex) :: acc)
-        | None -> go acc)
-      | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    in
-    Some (go [])
-  with Sys_error _ -> None
-
-let tier () =
-  hr "Execution tiers: trace-compiled blocks vs single-step (nBench, P1-P6)";
-  printf "%-16s | %9s | %9s | %8s | %s\n" "Program" "step (s)" "trace (s)" "speedup"
-    "sha256(outputs)";
-  printf "%s\n" (String.make 78 '-');
-  let golden = read_golden () in
-  let update = Sys.getenv_opt "DEFLECTION_UPDATE_GOLDEN" <> None in
-  let rows = ref [] and digests = ref [] in
-  let instrs = ref 0 and step_dt = ref 0.0 and trace_dt = ref 0.0 in
-  List.iter
-    (fun (b : W.Nbench.benchmark) ->
-      (* time the enclave execution phase only (the session's "execute"
-         telemetry span): attestation, compile, verification and upload
-         are identical for both tiers and would dilute the tier ratio *)
-      let timed_once tier =
-        let tm_run = Telemetry.create () in
-        match W.Runner.run ~tier ~tm:tm_run b.W.Nbench.source with
-        | Ok m -> (
-          match Telemetry.find_span m.W.Runner.telemetry "execute" with
-          | Some s ->
-            (m, float_of_int (s.Telemetry.stop_ns - s.Telemetry.start_ns) /. 1e9)
-          | None -> failwith ("tier bench: no execute span for " ^ b.W.Nbench.name))
-        | Error e -> failwith ("tier bench failed on " ^ b.W.Nbench.name ^ ": " ^ e)
-      in
-      (* execution is deterministic, so only the wall clock is noisy:
-         best-of-3 filters scheduler jitter out of the speedup gate *)
-      let timed tier =
-        let m, dt1 = timed_once tier in
-        let _, dt2 = timed_once tier in
-        let _, dt3 = timed_once tier in
-        (m, Float.min dt1 (Float.min dt2 dt3))
-      in
-      let ms, dts = timed W.Runner.Interp.Step in
-      let mt, dtt = timed W.Runner.Interp.Trace in
-      (* the differential gate: both tiers, byte-identical observables *)
-      let same what x y =
-        if String.compare x y <> 0 then
-          failwith (Printf.sprintf "%s: %s diverged across tiers" b.W.Nbench.name what)
-      in
-      same "outputs" (String.concat "\n" ms.W.Runner.outputs)
-        (String.concat "\n" mt.W.Runner.outputs);
-      same "cycles" (string_of_int ms.W.Runner.cycles) (string_of_int mt.W.Runner.cycles);
-      same "instructions"
-        (string_of_int ms.W.Runner.instructions)
-        (string_of_int mt.W.Runner.instructions);
-      same "aexes" (string_of_int ms.W.Runner.aexes) (string_of_int mt.W.Runner.aexes);
-      let digest = Sha256.hex_digest_string (String.concat "\n" mt.W.Runner.outputs) in
-      (match golden with
-      | Some g when not update -> (
-        match List.assoc_opt b.W.Nbench.name g with
-        | Some hex when String.equal hex digest -> ()
-        | Some hex ->
-          failwith
-            (Printf.sprintf "%s: output digest %s does not match golden %s" b.W.Nbench.name
-               digest hex)
-        | None ->
-          failwith
-            (b.W.Nbench.name
-            ^ ": no golden digest committed (run with DEFLECTION_UPDATE_GOLDEN=1 to \
-               regenerate)"))
-      | Some _ -> ()
-      | None ->
-        if not update then
-          failwith
-            ("golden digest file missing: " ^ golden_path
-           ^ " (run with DEFLECTION_UPDATE_GOLDEN=1 to generate)"));
-      digests := (b.W.Nbench.name, digest) :: !digests;
-      instrs := !instrs + ms.W.Runner.instructions;
-      step_dt := !step_dt +. dts;
-      trace_dt := !trace_dt +. dtt;
-      let sp = if dtt > 0.0 then dts /. dtt else 0.0 in
-      printf "%-16s | %9.3f | %9.3f | %7.2fx | %s\n" b.W.Nbench.name dts dtt sp
-        (String.sub digest 0 16);
-      rows :=
-        ( b.W.Nbench.name,
-          Json.Obj
-            [
-              ("step_seconds", Json.Float dts);
-              ("trace_seconds", Json.Float dtt);
-              ("sha256", Json.Str digest);
-            ] )
-        :: !rows)
-    W.Nbench.all;
-  if update then begin
-    ensure_dir "bench";
-    ensure_dir (Filename.concat "bench" "golden");
-    let oc = open_out golden_path in
-    List.iter (fun (n, h) -> Printf.fprintf oc "%s %s\n" n h) (List.rev !digests);
-    close_out oc;
-    printf "golden digests written to %s\n" golden_path
-  end;
-  let step_ips = if !step_dt > 0.0 then float_of_int !instrs /. !step_dt else 0.0 in
-  let trace_ips = if !trace_dt > 0.0 then float_of_int !instrs /. !trace_dt else 0.0 in
-  let speedup = if step_ips > 0.0 then trace_ips /. step_ips else 0.0 in
-  printf "%s\n" (String.make 78 '-');
-  printf "single-step: %.0f instr/s | trace: %.0f instr/s | speedup %.2fx\n" step_ips trace_ips
-    speedup;
-  record "tier"
-    (Json.Obj
-       (List.rev !rows
-       @ [
-           ("instructions_per_tier", Json.Int !instrs);
-           ("step_wall_seconds", Json.Float !step_dt);
-           ("trace_wall_seconds", Json.Float !trace_dt);
-           ("step_instr_per_sec", Json.Float step_ips);
-           ("trace_instr_per_sec", Json.Float trace_ips);
-           ("speedup_x", Json.Float speedup);
          ]))
 
 (* ------------------------------------------------------------------ *)
@@ -789,8 +647,7 @@ let () =
   let args = List.filter (fun a -> a <> "--quick") args in
   let all =
     [
-      ("table1", table1); ("table2", table2); ("tier", tier); ("fig7", fig7); ("fig8", fig8);
-      ("fig9", fig9);
+      ("table1", table1); ("table2", table2); ("fig7", fig7); ("fig8", fig8); ("fig9", fig9);
       ("fig10", fig10); ("fig11", fig11); ("ablation", ablation); ("related", related);
       ("profile", profile); ("chaos", chaos); ("fuzz", fuzz);
     ]

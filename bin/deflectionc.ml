@@ -254,21 +254,8 @@ let run_cmd =
             "Export the telemetry counters and histograms in Prometheus text exposition \
              format, to stdout (no $(docv) or -) or to $(docv).")
   in
-  let tier =
-    Arg.(
-      value
-      & opt (enum [ ("trace", Interp.Trace); ("step", Interp.Step) ]) Interp.Trace
-      & info [ "tier" ] ~docv:"TIER"
-          ~doc:
-            "Execution tier: $(b,trace) (default) compiles verified straight-line blocks \
-             into fused closures and executes block-at-a-time; $(b,step) interprets one \
-             decoded instruction at a time. Both tiers are observably identical; the \
-             interpreter falls back to $(b,step) on its own whenever per-instruction \
-             observation is attached (--forensics, --profile, a watchdog fuel budget, or a \
-             chaos plan).")
-  in
   let action source input_files policies ssa_q verification trace metrics forensics
-      profile prof_interval prom tier =
+      profile prof_interval prom =
     let inputs = List.map (fun f -> Bytes.of_string (read_file f)) input_files in
     let tm =
       match (trace, metrics) with
@@ -327,8 +314,7 @@ let run_cmd =
       | Some file -> write_json "profile" file (Profiler.to_json ?cycles profiler)
     in
     match
-      Deflection.Session.run ~policies ~ssa_q ~verification
-        ~interp:{ Interp.default_config with Interp.tier } ~tm ~recorder ~profiler
+      Deflection.Session.run ~policies ~ssa_q ~verification ~tm ~recorder ~profiler
         ~source:(read_file source) ~inputs ()
     with
     | Error e ->
@@ -391,7 +377,7 @@ let run_cmd =
          ])
     Term.(
       const action $ src $ inputs $ policies_arg $ ssa_q_arg $ verify_mode_arg $ trace
-      $ metrics $ forensics $ profile $ prof_interval $ prom $ tier)
+      $ metrics $ forensics $ profile $ prof_interval $ prom)
 
 let chaos_cmd =
   let seeds =

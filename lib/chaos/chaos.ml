@@ -271,12 +271,6 @@ let of_plan p =
 let enabled t = Option.is_some t.plan_
 let plan t = t.plan_
 
-(* Chaos faults (AEX storms, fuel limits, ocall failures) are specified
-   at per-instruction granularity, so any active plan pins the
-   interpreter to the single-step tier — the trace tier may never blur
-   an injection point a campaign asserts on. *)
-let forces_step_tier = enabled
-
 let record_fired t site =
   let key = site_label site in
   Hashtbl.replace t.fired_tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt t.fired_tbl key))

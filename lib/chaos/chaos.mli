@@ -160,12 +160,6 @@ val aex_interval_override : t -> int option
 val fuel_override : t -> int option
 (** [Some fuel] iff a [Fuel_limit] fault is pending (fires it). *)
 
-val forces_step_tier : t -> bool
-(** True iff a plan is active: chaos faults are defined at
-    per-instruction granularity, so the bootstrap pins the interpreter
-    to {!Deflection_runtime.Interp.Step} for the whole run (observing a
-    plan must not change what the plan observes). *)
-
 (** {2 Server / persistence hooks} — called by [lib/server]. *)
 
 val torn_write : t -> round:int -> int option

@@ -453,12 +453,9 @@ let run ?(recorder = Flight_recorder.disabled) ?(profiler = Profiler.disabled)
           | Some i -> { c with Interp.aex_interval = Some i }
           | None -> c
         in
-        let c =
-          match Chaos.fuel_override chaos with
-          | Some f -> { c with Interp.fuel = Some f }
-          | None -> c
-        in
-        if Chaos.forces_step_tier chaos then { c with Interp.tier = Interp.Step } else c
+        match Chaos.fuel_override chaos with
+        | Some f -> { c with Interp.fuel = Some f }
+        | None -> c
       in
       (* the OCall wrapper retries host-side service failures; only a
          failure outlasting the whole budget surfaces as Ocall_failed *)

@@ -128,9 +128,10 @@ val run :
   t ->
   (run_stats, ecall_error) result
 (** Transfer execution to the verified target program. [recorder]
-    (default disabled) rides the interpreter's stepping loop and is frozen
-    into [crash] on abnormal exits; [profiler] (default disabled) samples
-    pcs and is fed the loader's function symbol map before entry.
+    (default disabled) receives the interpreter's per-instruction events
+    and is frozen into [crash] on abnormal exits; [profiler] (default
+    disabled) samples pcs and is fed the loader's function symbol map
+    before entry.
 
     [chaos] (default {!Deflection_chaos.Chaos.disabled}) injects the
     execution-stage faults of a chaos plan: pre-run bit flips in the

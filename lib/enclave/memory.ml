@@ -176,10 +176,17 @@ let check_exec t addr =
   if not t.perms.(page_of t addr).x then raise (Fault (Perm_violation { addr; access = Exec }))
 
 let priv_write_bytes t addr b =
-  if not (in_elrange t addr && in_elrange t (addr + Bytes.length b - 1)) then
+  let len = Bytes.length b in
+  if not (in_elrange t addr && in_elrange t (addr + len - 1)) then
     invalid_arg "Memory.priv_write_bytes: outside ELRANGE";
-  Bytes.blit b 0 t.mem (to_offset t addr) (Bytes.length b);
-  t.generation <- t.generation + 1
+  Bytes.blit b 0 t.mem (to_offset t addr) len;
+  (* like [write_u8]: only a write touching an executable page moves the
+     code generation (SSA dumps and OCall input copies do not) *)
+  let rec touches_x page last =
+    page <= last && (t.perms.(page).x || touches_x (page + 1) last)
+  in
+  if len > 0 && touches_x (page_of t addr) (page_of t (addr + len - 1)) then
+    t.generation <- t.generation + 1
 
 let priv_read_bytes t addr len =
   if not (in_elrange t addr && in_elrange t (addr + len - 1)) then

@@ -66,6 +66,9 @@ val check_exec : t -> int -> unit
 (** {2 Privileged accesses (the trusted loader / simulated hardware)} *)
 
 val priv_write_bytes : t -> int -> bytes -> unit
+(** Write regardless of page permissions. Moves {!code_generation} only
+    when the span touches an executable page. *)
+
 val priv_read_bytes : t -> int -> int -> bytes
 val priv_write_u64 : t -> int -> int64 -> unit
 val priv_read_u64 : t -> int -> int64

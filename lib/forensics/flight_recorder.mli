@@ -2,9 +2,11 @@
 
     A bounded ring of fine-grained execution events — retired program
     counters, branch outcomes, ECall/OCall transitions, AEX context dumps
-    and abnormal exits — recorded by the interpreter stepping loop so
-    that, on a policy abort or runtime fault, the last moments of the
-    program can be frozen into a crash report ({!Report.crash}).
+    and abnormal exits — recorded by the interpreter so that, on a policy
+    abort or runtime fault, the last moments of the program can be frozen
+    into a crash report ({!Report.crash}). A single step records as it
+    goes; a compiled block replays the same events from its own tables,
+    so the stream does not depend on how the instructions ran.
 
     Design constraints (see DESIGN.md, "Flight recorder"):
 

@@ -61,6 +61,8 @@ let on_step t ~cycles ~pc =
     if cycles >= t.next then take_samples t ~cycles ~pc
   end
 
+let due t ~cycles = t.on && cycles >= t.next
+let retire t n = if t.on then t.retired_count <- t.retired_count + n
 let catch_up t ~cycles ~pc = if t.on then take_samples t ~cycles ~pc
 
 let retired t = t.retired_count

@@ -38,8 +38,19 @@ val on_step : t -> cycles:int -> pc:int -> unit
     sample at [pc] for every multiple of [interval] the cycle counter
     crossed since the last call. *)
 
+val due : t -> cycles:int -> bool
+(** Whether a sample falls due at or before cycle count [cycles]; always
+    false on {!disabled}. *)
+
+val retire : t -> int -> unit
+(** [retire t n] counts [n] retired instructions that cross no sample
+    threshold — the same as [n] {!on_step} calls for which {!due} stays
+    false. The interpreter's compiled blocks report their instructions
+    this way, and walk themselves through {!on_step} only when a sample
+    falls due inside them. *)
+
 val catch_up : t -> cycles:int -> pc:int -> unit
-(** Account for cycles charged outside the stepping loop (OCall wrapper
+(** Account for cycles charged outside the interpreter loop (OCall wrapper
     work, final time-blurring padding) by attributing any remaining
     threshold crossings to [pc]. Does not bump the retired count. *)
 

@@ -109,10 +109,7 @@ let run ?(inputs = []) ?(instr_limit = 2_000_000) ?monitor_policies ~policies
           else Interp.Halt (Interp.Ocall_denied index)
         in
         let config =
-          (* the monitor inspects every instruction via [Interp.step], so
-             it pins the single-step tier explicitly *)
-          { Interp.default_config with Interp.instr_limit; aex_interval = None;
-            tier = Interp.Step }
+          { Interp.default_config with Interp.instr_limit; aex_interval = None }
         in
         let itp = Interp.create ~config ~ocall mem in
         Interp.init_stack itp;

@@ -9,7 +9,21 @@
 
     The interpreter is the {e hardware} of the simulation: it does not know
     about policies. Policy enforcement is done by the verified annotation
-    code it executes and by the OCall wrappers the bootstrap registers. *)
+    code it executes and by the OCall wrappers the bootstrap registers.
+
+    Every decoded instruction compiles to one OCaml closure, cached per
+    code generation; those closures are the only definition of the
+    instruction semantics. {!step} runs one of them. {!run} runs the
+    trace tier: verified straight-line basic blocks execute as fused
+    closure arrays (superinstructions for the hot pairs) with one bulk
+    counter update per block, and {!step} crosses the boundaries where
+    the instruction limit, the AEX schedule or the fuel watchdog could
+    fire inside a block, and the OCALL/HLT sites. Both preserve every
+    observable of per-instruction execution: exit reasons and their
+    reported offsets, virtual-cycle and instruction counts (including the
+    3-wide-issue residue), per-class histograms, AEX injection points,
+    SSA contents, leak logs, and the flight-recorder and profiler streams
+    (compiled blocks replay their retired pcs to attached observers). *)
 
 module Isa = Deflection_isa.Isa
 module Memory = Deflection_enclave.Memory
@@ -45,21 +59,6 @@ val exit_reason_to_string : exit_reason -> string
 (** What an OCall handler tells the engine to do next. *)
 type ocall_outcome = Continue | Halt of exit_reason
 
-(** Execution tier. [Step] fetches, decodes (through the generation-
-    stamped decode cache) and executes one instruction at a time. [Trace]
-    (the default) additionally compiles verified straight-line basic
-    blocks into fused OCaml closures — superinstructions for the hot
-    pairs — cached per code generation and executed block-at-a-time. The
-    trace tier preserves every observable of the single-stepper: exit
-    reasons and their reported offsets, virtual-cycle and instruction
-    counts (including the 3-wide-issue residue), per-class histograms,
-    AEX injection points, SSA contents and leak logs. {!run} runs [Step]
-    instead whenever per-instruction observation is needed — a watchdog
-    fuel budget, an attached flight recorder or profiler — or when the
-    config pins [Step] (chaos plans and the fuzz monitor do), and
-    {!trace_counters} names each reason that applied. *)
-type tier = Step | Trace
-
 type config = {
   instr_limit : int;  (** hard safety budget (default 2_000_000_000) *)
   aex_interval : int option;
@@ -73,7 +72,6 @@ type config = {
           Exceeding it ends the run with {!Fuel_exhausted}. Unlike
           [instr_limit] this is a per-stage resilience knob, not a safety
           backstop. *)
-  tier : tier;  (** execution tier (default {!Trace}) *)
 }
 
 val default_config : config
@@ -97,7 +95,9 @@ val create :
 
     [profiler] (default {!Profiler.disabled}) samples the pc every
     [interval] virtual cycles; its retired-instruction count tracks
-    {!instructions} exactly. *)
+    {!instructions} exactly.
+
+    Attaching either observer does not change what runs. *)
 
 (** {2 Register and memory access (for OCall handlers and tests)} *)
 
@@ -119,15 +119,17 @@ val register_file : t -> (string * int64) list
 (** {2 Execution} *)
 
 val run : t -> entry:int -> exit_reason
-(** Set RIP to [entry] and interpret until halt/fault/limit. RSP must have
-    been initialized via {!write_reg} or {!init_stack}. *)
+(** Set RIP to [entry] and run compiled blocks until halt/fault/limit.
+    RSP must have been initialized via {!write_reg} or {!init_stack}. *)
 
 val init_stack : t -> unit
 (** Point RSP at the top of the stack region (16-byte aligned, one slack
     slot). *)
 
 val step : t -> exit_reason option
-(** Single-step; [None] while running. *)
+(** Retire exactly one instruction — inject a due AEX, charge its cost,
+    show it to the observers, run its compiled closure — or report why
+    none can run. [None] while running. *)
 
 val force_aex : t -> unit
 (** Inject an AEX right now, regardless of the schedule: dump the register
@@ -150,12 +152,6 @@ val instructions : t -> int
 val aex_count : t -> int
 val ocall_count : t -> int
 
-val decode_cache_size : t -> int
-(** Number of live entries in the fetch/decode cache. The cache is reset
-    whenever {!Memory.code_generation} moves, so this is bounded by the
-    number of distinct instruction addresses executed since the last code
-    write — it does not grow across generation bumps. *)
-
 val set_block_leaders : t -> int list -> unit
 (** Absolute pcs of verified basic-block leaders (branch targets,
     function entries, stubs — what the verifier discovered during its
@@ -166,26 +162,26 @@ val set_block_leaders : t -> int list -> unit
     compiles an overlapping block). Resets the block cache. *)
 
 val trace_counters : t -> (string * int) list
-(** Why and how the last {!run} used the trace tier, as schedule-
-    independent counts. When it ran the tier: the [leaders]
+(** How the last {!run} used the trace tier, as schedule-independent
+    counts: the [leaders]
     {!set_block_leaders} installed (0 when none were, as for a verdict
     recovered from a persisted cache), [blocks_compiled], block-table
     [lookups] (the validating dispatch, and chaining when neither
-    successor slot matches), single steps at an AEX or
+    successor slot matches), single steps at an AEX, fuel or
     instruction-limit boundary ([steps.boundary]) and where no block
     compiles — OCALL/HLT or an uncompilable first instruction
-    ([steps.no_block]), block-table [invalidations] after a code patch,
-    and [in_block] = {!instructions} minus the single steps, the
+    ([steps.no_block]), compiled-code [invalidations] after a code
+    patch, and [in_block] = {!instructions} minus the single steps, the
     instructions retired inside compiled blocks (exact unless a step
-    ended the run without retiring, at the instruction limit or on an
-    unfetchable pc). When it did not: [off.<reason>] = 1 for each of
-    [step_tier], [fuel], [recorder] and [profiler] that applied. *)
+    ended the run without retiring, at the instruction limit, the fuel
+    watchdog or on a non-executable pc). Observers attached or not, the
+    counts are the same. *)
 
 val trace_cache_size : t -> int
 (** Number of live entries in the trace tier's compiled-block cache
-    (including negative entries for pcs that must single-step). Reset
-    whenever {!Memory.code_generation} moves, exactly like the decode
-    cache. *)
+    (including negative entries for pcs that must single-step). Reset,
+    together with the per-instruction cache {!step} runs from, whenever
+    {!Memory.code_generation} moves. *)
 
 val class_names : string array
 (** The instruction-class partition used by {!class_counts}, in index

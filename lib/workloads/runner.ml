@@ -21,14 +21,13 @@ let bench_manifest =
   }
 
 let run ?(policies = Policy.Set.p1_p6) ?(inputs = []) ?(aex_interval = Some 2_000_000)
-    ?(tier = Interp.default_config.Interp.tier) ?tm ?recorder ?profiler source =
+    ?tm ?recorder ?profiler source =
   let interp =
     {
       Interp.default_config with
       Interp.aex_interval;
       colocated_prob = 1.0;
       (* benign scheduler: the co-location test always passes *)
-      tier;
     }
   in
   match

@@ -20,7 +20,6 @@ val run :
   ?policies:Policy.Set.t ->
   ?inputs:bytes list ->
   ?aex_interval:int option ->
-  ?tier:Interp.tier ->
   ?tm:Deflection_telemetry.Telemetry.t ->
   ?recorder:Deflection_forensics.Flight_recorder.t ->
   ?profiler:Deflection_forensics.Profiler.t ->
@@ -28,10 +27,8 @@ val run :
   (measurement, string) result
 (** Defaults: P1-P6, no inputs, AEX injected every ~2M cycles (the benign
     platform's interrupt rate), co-location always true, AEX budget high
-    enough for long benchmarks, the default execution tier ([Trace]).
-    [tier] pins an execution tier (the tier benchmark compares [Step]
-    against [Trace] on identical configs). [recorder]/[profiler] attach
-    the forensics instruments to the interpreter (see
+    enough for long benchmarks. [recorder]/[profiler] attach the
+    forensics instruments to the interpreter (see
     {!Deflection.Session.run}). *)
 
 val settings : (string * Policy.Set.t) list

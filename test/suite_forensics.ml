@@ -380,9 +380,15 @@ let test_profiler_retired_agrees_with_interp () =
   in
   Alcotest.(check int) "retired = sum of class counters" class_sum
     (Profiler.retired profiler);
-  Alcotest.(check (option int)) "the profiler is named as the reason the trace tier was off"
-    (Some 1)
-    (List.assoc_opt "interp.trace.off.profiler" o.Session.telemetry.T.counters)
+  (* observing does not change what runs: the profiled run used compiled
+     blocks exactly as an unprofiled one does *)
+  let trace (o : Session.outcome) =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"interp.trace." k)
+      o.Session.telemetry.T.counters
+  in
+  Alcotest.(check (list (pair string int))) "trace counters equal an unprofiled run's"
+    (trace (run_session looping_src)) (trace o)
 
 let test_profiler_symbol_attribution () =
   let p = Profiler.create ~interval:1 () in

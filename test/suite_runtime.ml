@@ -3,6 +3,7 @@ module Asm = Deflection_isa.Asm
 module Layout = Deflection_enclave.Layout
 module Memory = Deflection_enclave.Memory
 module Interp = Deflection_runtime.Interp
+module Annot = Deflection_annot.Annot
 open Isa
 
 let deny_all _ _ = Interp.Halt (Interp.Ocall_denied 99)
@@ -338,14 +339,14 @@ let test_instr_limit () =
 
 let test_self_modifying_code_and_cache () =
   (* The program overwrites the first byte of the instruction at "patch"
-     with the HLT opcode, then jumps to it. The decode cache must observe
-     the write (generation bump), or it would execute the stale MOV. *)
+     with the HLT opcode, then jumps to it. The compiled-code caches must
+     observe the write (generation bump), or they would run the stale MOV. *)
   let items addr =
     [
       Asm.Ins (Mov (Reg RBX, Imm addr));
       Asm.Ins (Mov (Reg RCX, Imm 0x01L)); (* HLT opcode *)
       Asm.Ins (Mov (Reg RAX, Imm 5L));
-      (* warm the decode cache for "patch" *)
+      (* a call/ret detour through compiled code before the patch *)
       Asm.Ins (Call (Lab "warm"));
       (* patch: write one byte over the code *)
       Asm.Ins (Mov (Reg RDX, Mem (mem_of_reg RBX)));
@@ -367,20 +368,21 @@ let test_self_modifying_code_and_cache () =
   (* HLT with RAX=5: the patched instruction executed, not the stale MOV *)
   Alcotest.(check int64) "self-modification took effect" 5L (exited exit)
 
-let test_decode_cache_generation_reset () =
-  (* Re-delivering code bumps the memory generation; the decode cache must
-     drop its stale entries rather than keep both generations' worth *)
+let test_op_cache_generation_reset () =
+  (* Re-delivering code bumps the memory generation; the compiled-code
+     caches must drop their stale entries rather than keep both
+     generations' worth *)
   let items = [ Asm.Ins (Mov (Reg RAX, Imm 7L)); Asm.Ins Hlt ] in
   let itp, mem, layout, a = setup items in
   ignore (exited (Interp.run itp ~entry:layout.Layout.code_lo));
-  let s1 = Interp.decode_cache_size itp in
+  let s1 = Interp.trace_cache_size itp in
   Alcotest.(check bool) "cache populated" true (s1 > 0);
   let gen = Memory.code_generation mem in
   Memory.priv_write_bytes mem layout.Layout.code_lo a.Asm.code;
   Alcotest.(check bool) "generation bumped" true (Memory.code_generation mem > gen);
   ignore (exited (Interp.run itp ~entry:layout.Layout.code_lo));
   Alcotest.(check int) "cache reset, no growth across generations" s1
-    (Interp.decode_cache_size itp)
+    (Interp.trace_cache_size itp)
 
 let test_aex_injection_clobbers_marker () =
   let config = { Interp.default_config with Interp.aex_interval = Some 200 } in
@@ -474,6 +476,298 @@ let test_single_step () =
   Alcotest.(check int64) "ran" 3L (exited r);
   Alcotest.(check int) "two instructions" 2 (Interp.instructions itp)
 
+(* ------------------------------------------------------------------ *)
+(* The instruction table: the independent reference for the compiled
+   instruction semantics. One hand-computed row per operand shape that
+   the instruction compiler specializes and per generic arm behind it,
+   one per fused compare-and-branch (cmp/test, register/immediate, each
+   of the 12 conditions), and HLT/OCALL. Each row assembles its
+   instruction before a hlt, runs it both stepped and as compiled
+   blocks, and compares the whole register file, the flags word (bit 0
+   ZF, 1 SF, 2 CF, 3 OF; it starts at 0) and every memory word the row
+   names.
+
+   Shapes the cases above already covered (mov/arith, memory operands,
+   lea, all conditions, call/ret, push/pop, idiv, shifts, float ops,
+   fcmp) are re-stated here for completeness; the table adds the
+   absolute and index-only address shapes, memory destinations for the
+   ALU, unary and shift ops, memory and immediate divisors, memory and
+   immediate float operands, the conversions, the fused
+   test-and-branch pairs and the OCALL arm. *)
+
+type row = {
+  name : string;
+  pre : (reg * int64) list;  (* registers before (RSP starts at the stack top) *)
+  mem : (int * int64) list;  (* words before, by absolute address *)
+  prog : Asm.item list;
+  post : (reg * int64) list;  (* registers the row changes *)
+  flags : int64;  (* flags word after *)
+  mem' : (int * int64) list;  (* words after *)
+  exit : string option;  (* exit reason, when not exited(RAX) *)
+}
+
+let row ?(pre = []) ?(mem = []) ?(post = []) ?(flags = 0L) ?(mem' = []) ?exit name instr =
+  { name; pre; mem; prog = [ Asm.Ins instr; Asm.Ins Hlt ]; post; flags; mem'; exit }
+
+let bits = Int64.bits_of_float
+let at ?base ?index ?(scale = 1) disp = { base; index; scale; disp }
+
+let table_layout = Layout.make Layout.small_config
+
+let instruction_rows =
+  let d = table_layout.Layout.data_lo in
+  let sp = table_layout.Layout.stack_hi - 64 in
+  let dl = Int64.of_int d in
+  let spl = Int64.of_int sp in
+  let rsi k = Mem (at ~base:RSI (Int64.of_int k)) in
+  let on_d = [ (RSI, dl) ] in
+  [
+    (* mov: every specialized shape (the generic arm is unreachable from
+       decoded code: the decoder rejects mem-to-mem moves) *)
+    row "mov r,r" ~pre:[ (RBX, 7L) ] ~post:[ (RAX, 7L) ] (Mov (Reg RAX, Reg RBX));
+    row "mov r,imm" ~post:[ (RAX, 0x123456789ABCL) ] (Mov (Reg RAX, Imm 0x123456789ABCL));
+    row "mov r,[b+d]" ~pre:on_d ~mem:[ (d + 16, 42L) ] ~post:[ (RAX, 42L) ]
+      (Mov (Reg RAX, rsi 16));
+    row "mov r,[b+i*s+d]" ~pre:[ (RSI, dl); (RCX, 2L) ] ~mem:[ (d + 24, 43L) ]
+      ~post:[ (RAX, 43L) ]
+      (Mov (Reg RAX, Mem (at ~base:RSI ~index:RCX ~scale:8 8L)));
+    row "mov r,[i*s+d]" ~pre:[ (RCX, Int64.of_int (d / 8)) ] ~mem:[ (d + 8, 44L) ]
+      ~post:[ (RAX, 44L) ]
+      (Mov (Reg RAX, Mem (at ~index:RCX ~scale:8 8L)));
+    row "mov r,[abs]" ~mem:[ (d + 8, 45L) ] ~post:[ (RAX, 45L) ]
+      (Mov (Reg RAX, Mem (at (Int64.add dl 8L))));
+    row "mov [b+d],r" ~pre:[ (RSI, dl); (RBX, 46L) ] ~mem':[ (d + 16, 46L) ]
+      (Mov (rsi 16, Reg RBX));
+    row "mov [b+i*s+d],r" ~pre:[ (RSI, dl); (RCX, 1L); (RBX, 47L) ] ~mem':[ (d + 16, 47L) ]
+      (Mov (Mem (at ~base:RSI ~index:RCX ~scale:8 8L), Reg RBX));
+    row "mov [abs],r" ~pre:[ (RBX, 48L) ] ~mem':[ (d + 32, 48L) ]
+      (Mov (Mem (at (Int64.add dl 32L)), Reg RBX));
+    row "mov [m],imm" ~pre:on_d ~mem':[ (d + 40, -1L) ] (Mov (rsi 40, Imm (-1L)));
+    (* lea: the four effective-address shapes *)
+    row "lea [b+i*s+d]" ~pre:[ (RBX, 100L); (RCX, 3L) ] ~post:[ (RAX, 110L) ]
+      (Lea (RAX, at ~base:RBX ~index:RCX ~scale:4 (-2L)));
+    row "lea [b+d]" ~pre:[ (RBX, 100L) ] ~post:[ (RAX, 99L) ] (Lea (RAX, at ~base:RBX (-1L)));
+    row "lea [i*s+d]" ~pre:[ (RCX, 5L) ] ~post:[ (RAX, 11L) ]
+      (Lea (RAX, at ~index:RCX ~scale:2 1L));
+    row "lea [d]" ~post:[ (RAX, 77L) ] (Lea (RAX, at 77L));
+    (* push/pop *)
+    row "push r" ~pre:[ (RBX, 9L) ] ~post:[ (RSP, Int64.sub spl 8L) ] ~mem':[ (sp - 8, 9L) ]
+      (Push (Reg RBX));
+    row "push imm" ~post:[ (RSP, Int64.sub spl 8L) ] ~mem':[ (sp - 8, -5L) ] (Push (Imm (-5L)));
+    row "push [m]" ~pre:on_d ~mem:[ (d, 10L) ] ~post:[ (RSP, Int64.sub spl 8L) ]
+      ~mem':[ (sp - 8, 10L) ] (Push (rsi 0));
+    row "pop r" ~mem:[ (sp, 11L) ] ~post:[ (RBX, 11L); (RSP, Int64.add spl 8L) ] (Pop RBX);
+    (* binop: add/sub register shapes, the other ops through the
+       register/immediate arms, and the generic arm with memory *)
+    row "add r,r" ~pre:[ (RAX, -1L); (RBX, 1L) ] ~post:[ (RAX, 0L) ] ~flags:5L
+      (Binop (Add, Reg RAX, Reg RBX));
+    row "add r,imm" ~pre:[ (RAX, Int64.max_int) ] ~post:[ (RAX, Int64.min_int) ] ~flags:10L
+      (Binop (Add, Reg RAX, Imm 1L));
+    row "sub r,r" ~pre:[ (RAX, 3L); (RBX, 5L) ] ~post:[ (RAX, -2L) ] ~flags:6L
+      (Binop (Sub, Reg RAX, Reg RBX));
+    row "sub r,imm" ~pre:[ (RAX, Int64.min_int) ] ~post:[ (RAX, Int64.max_int) ] ~flags:8L
+      (Binop (Sub, Reg RAX, Imm 1L));
+    row "and r,r" ~pre:[ (RAX, -1L); (RBX, Int64.min_int) ] ~post:[ (RAX, Int64.min_int) ]
+      ~flags:2L (Binop (And, Reg RAX, Reg RBX));
+    row "and r,imm" ~pre:[ (RAX, 0xFFL) ] ~post:[ (RAX, 0x0FL) ] (Binop (And, Reg RAX, Imm 0x0FL));
+    row "or r,r" ~pre:[ (RAX, 0x10L); (RBX, 0x01L) ] ~post:[ (RAX, 0x11L) ]
+      (Binop (Or, Reg RAX, Reg RBX));
+    row "or r,imm" ~flags:1L (Binop (Or, Reg RAX, Imm 0L));
+    row "xor r,r" ~pre:[ (RAX, 5L); (RBX, 5L) ] ~post:[ (RAX, 0L) ] ~flags:1L
+      (Binop (Xor, Reg RAX, Reg RBX));
+    row "xor r,imm" ~post:[ (RAX, -1L) ] ~flags:2L (Binop (Xor, Reg RAX, Imm (-1L)));
+    row "imul r,r" ~pre:[ (RAX, Int64.shift_left 1L 62); (RBX, 4L) ] ~post:[ (RAX, 0L) ]
+      ~flags:1L (Binop (Imul, Reg RAX, Reg RBX));
+    row "imul r,imm" ~pre:[ (RAX, -3L) ] ~post:[ (RAX, -21L) ] ~flags:2L
+      (Binop (Imul, Reg RAX, Imm 7L));
+    row "add [m],r" ~pre:[ (RSI, dl); (RBX, 2L) ] ~mem:[ (d, 40L) ] ~mem':[ (d, 42L) ]
+      (Binop (Add, rsi 0, Reg RBX));
+    row "sub r,[m]" ~pre:[ (RSI, dl); (RAX, 3L) ] ~mem:[ (d, 10L) ] ~post:[ (RAX, -7L) ]
+      ~flags:6L (Binop (Sub, Reg RAX, rsi 0));
+    row "imul r,[m]" ~pre:[ (RSI, dl); (RAX, 7L) ] ~mem:[ (d, 6L) ] ~post:[ (RAX, 42L) ]
+      (Binop (Imul, Reg RAX, rsi 0));
+    row "and [m],imm" ~pre:on_d ~mem:[ (d, 0xF0L) ] ~mem':[ (d, 0x30L) ]
+      (Binop (And, rsi 0, Imm 0x3CL));
+    (* unop *)
+    row "inc r" ~pre:[ (RAX, Int64.max_int) ] ~post:[ (RAX, Int64.min_int) ] ~flags:10L
+      (Unop (Inc, Reg RAX));
+    row "dec r" ~post:[ (RAX, -1L) ] ~flags:6L (Unop (Dec, Reg RAX));
+    row "neg r" ~pre:[ (RAX, 5L) ] ~post:[ (RAX, -5L) ] ~flags:6L (Unop (Neg, Reg RAX));
+    row "not r" ~post:[ (RAX, -1L) ] (Unop (Not, Reg RAX));
+    row "neg [m]" ~pre:on_d ~mem:[ (d, Int64.min_int) ] ~mem':[ (d, Int64.min_int) ] ~flags:14L
+      (Unop (Neg, rsi 0));
+    row "inc [m]" ~pre:on_d ~mem:[ (d, -1L) ] ~mem':[ (d, 0L) ] ~flags:5L (Unop (Inc, rsi 0));
+    row "dec [m]" ~pre:on_d ~mem:[ (d, 1L) ] ~mem':[ (d, 0L) ] ~flags:1L (Unop (Dec, rsi 0));
+    row "not [m]" ~pre:on_d ~mem:[ (d, 0x0FL) ] ~mem':[ (d, -16L) ] (Unop (Not, rsi 0));
+    (* shift: ZF/SF only; counts masked to 6 bits *)
+    row "shl r,imm" ~pre:[ (RAX, 3L) ] ~post:[ (RAX, -4611686018427387904L) ] ~flags:2L
+      (Shift (Shl, Reg RAX, Imm 62L));
+    row "shr r,imm" ~pre:[ (RAX, -16L) ] ~post:[ (RAX, 4611686018427387900L) ]
+      (Shift (Shr, Reg RAX, Imm 2L));
+    row "sar r,imm" ~pre:[ (RAX, -16L) ] ~post:[ (RAX, -4L) ] ~flags:2L
+      (Shift (Sar, Reg RAX, Imm 2L));
+    row "shl r,imm masked" ~pre:[ (RAX, 1L) ] ~post:[ (RAX, 2L) ] (Shift (Shl, Reg RAX, Imm 65L));
+    row "shl r,r" ~pre:[ (RAX, 1L); (RCX, 68L) ] ~post:[ (RAX, 16L) ]
+      (Shift (Shl, Reg RAX, Reg RCX));
+    row "sar [m],imm" ~pre:on_d ~mem:[ (d, -256L) ] ~mem':[ (d, -16L) ] ~flags:2L
+      (Shift (Sar, rsi 0, Imm 4L));
+    row "shr [m],r" ~pre:[ (RSI, dl); (RCX, 8L) ] ~mem:[ (d, 256L) ] ~mem':[ (d, 1L) ]
+      (Shift (Shr, rsi 0, Reg RCX));
+    (* idiv: truncating quotient in RAX, remainder in RDX *)
+    row "idiv r" ~pre:[ (RAX, -7L); (RBX, 2L) ] ~post:[ (RAX, -3L); (RDX, -1L) ] (Idiv (Reg RBX));
+    row "idiv [m]" ~pre:[ (RSI, dl); (RAX, 20L) ] ~mem:[ (d, 3L) ] ~post:[ (RAX, 6L); (RDX, 2L) ]
+      (Idiv (rsi 0));
+    row "idiv imm" ~pre:[ (RAX, 9L) ] ~post:[ (RAX, 2L); (RDX, 1L) ] (Idiv (Imm 4L));
+    (* cmp/test: flags only *)
+    row "cmp r,r" ~pre:[ (RAX, 3L); (RBX, 5L) ] ~flags:6L (Cmp (Reg RAX, Reg RBX));
+    row "cmp r,imm" ~pre:[ (RAX, 5L) ] ~flags:1L (Cmp (Reg RAX, Imm 5L));
+    row "cmp [m],imm" ~pre:on_d ~mem:[ (d, Int64.min_int) ] ~flags:8L (Cmp (rsi 0, Imm 1L));
+    row "cmp r,[m]" ~pre:on_d ~mem:[ (d, 1L) ] ~flags:6L (Cmp (Reg RAX, rsi 0));
+    row "test r,r" ~pre:[ (RAX, 12L); (RBX, 10L) ] (Test (Reg RAX, Reg RBX));
+    row "test r,imm" ~pre:[ (RAX, 12L) ] ~flags:1L (Test (Reg RAX, Imm 3L));
+    row "test [m],r" ~pre:[ (RSI, dl); (RBX, Int64.min_int) ] ~mem:[ (d, -1L) ] ~flags:2L
+      (Test (rsi 0, Reg RBX));
+    (* fbin: register shapes per op, then memory and immediate operands *)
+    row "fadd r,r" ~pre:[ (RAX, bits 1.5); (RBX, bits 2.25) ] ~post:[ (RAX, bits 3.75) ]
+      (Fbin (FAdd, RAX, Reg RBX));
+    row "fsub r,r" ~pre:[ (RAX, bits 1.5); (RBX, bits 2.25) ] ~post:[ (RAX, bits (-0.75)) ]
+      (Fbin (FSub, RAX, Reg RBX));
+    row "fmul r,r" ~pre:[ (RAX, bits 1.5); (RBX, bits 2.25) ] ~post:[ (RAX, bits 3.375) ]
+      (Fbin (FMul, RAX, Reg RBX));
+    row "fdiv r,r" ~pre:[ (RAX, bits 7.5); (RBX, bits 2.5) ] ~post:[ (RAX, bits 3.0) ]
+      (Fbin (FDiv, RAX, Reg RBX));
+    row "fadd r,[m]" ~pre:[ (RSI, dl); (RAX, bits 1.0) ] ~mem:[ (d, bits 0.25) ]
+      ~post:[ (RAX, bits 1.25) ] (Fbin (FAdd, RAX, rsi 0));
+    row "fsub r,[m]" ~pre:[ (RSI, dl); (RAX, bits 1.0) ] ~mem:[ (d, bits 0.25) ]
+      ~post:[ (RAX, bits 0.75) ] (Fbin (FSub, RAX, rsi 0));
+    row "fmul r,imm" ~pre:[ (RAX, bits 3.0) ] ~post:[ (RAX, bits 1.5) ]
+      (Fbin (FMul, RAX, Imm (bits 0.5)));
+    row "fdiv r,imm" ~pre:[ (RAX, bits 1.0) ] ~post:[ (RAX, bits 0.25) ]
+      (Fbin (FDiv, RAX, Imm (bits 4.0)));
+    (* fcmp: ucomisd image, SF = OF = 0 *)
+    row "fcmp r,r less" ~pre:[ (RAX, bits 1.0); (RBX, bits 2.0) ] ~flags:4L (Fcmp (RAX, Reg RBX));
+    row "fcmp r,r equal" ~pre:[ (RAX, bits 2.0); (RBX, bits 2.0) ] ~flags:1L (Fcmp (RAX, Reg RBX));
+    row "fcmp r,[m] unordered" ~pre:[ (RSI, dl); (RAX, bits Float.nan) ] ~mem:[ (d, bits 1.0) ]
+      ~flags:5L (Fcmp (RAX, rsi 0));
+    row "fcmp r,imm greater" ~pre:[ (RAX, bits 3.0) ] (Fcmp (RAX, Imm (bits 1.0)));
+    (* conversions and fsqrt *)
+    row "cvtsi2sd r,r" ~pre:[ (RBX, -3L) ] ~post:[ (RAX, bits (-3.0)) ] (Cvtsi2sd (RAX, Reg RBX));
+    row "cvtsi2sd r,[m]" ~pre:on_d ~mem:[ (d, 7L) ] ~post:[ (RAX, bits 7.0) ]
+      (Cvtsi2sd (RAX, rsi 0));
+    row "cvttsd2si r,r" ~pre:[ (RBX, bits (-2.75)) ] ~post:[ (RAX, -2L) ]
+      (Cvttsd2si (RAX, Reg RBX));
+    row "cvttsd2si r,imm" ~post:[ (RAX, 9L) ] (Cvttsd2si (RAX, Imm (bits 9.99)));
+    row "fsqrt r,r" ~pre:[ (RBX, bits 2.25) ] ~post:[ (RAX, bits 1.5) ] (Fsqrt (RAX, Reg RBX));
+    row "fsqrt r,[m]" ~pre:on_d ~mem:[ (d, bits 16.0) ] ~post:[ (RAX, bits 4.0) ]
+      (Fsqrt (RAX, rsi 0));
+    (* hlt and ocall (the handler below answers index 3 with RAX = 77) *)
+    row "hlt" ~pre:[ (RAX, 5L) ] ~exit:"exited(5)" Hlt;
+    row "hlt abort code" ~pre:[ (RAX, Annot.abort_exit_code Annot.Cfi) ]
+      ~exit:(Interp.exit_reason_to_string (Interp.Policy_abort Annot.Cfi)) Hlt;
+    row "ocall" ~post:[ (RAX, 77L) ] (Ocall 3);
+    row "ocall denied" ~exit:"ocall-denied(4)" (Ocall 4);
+  ]
+
+(* Compare-and-branch pairs, fused into one closure in compiled blocks:
+   (name, compare, registers before, flags word after, taken per
+   condition in E NE L LE G GE B BE A AE S NS order). *)
+let branch_rows =
+  let conds = [ E; NE; L; LE; G; GE; B; BE; A; AE; S; NS ] in
+  let t = true and f = false in
+  List.concat_map
+    (fun (name, cmp, pre, flags, taken) ->
+      List.map2
+        (fun c tk ->
+          {
+            name = Format.asprintf "%s; j%a" name Isa.pp_cond c;
+            pre;
+            mem = [];
+            prog =
+              [
+                Asm.Ins cmp;
+                Asm.Ins (Jcc (c, Lab "taken"));
+                Asm.Ins (Mov (Reg RAX, Imm 0L));
+                Asm.Ins Hlt;
+                Asm.Label "taken";
+                Asm.Ins (Mov (Reg RAX, Imm 1L));
+                Asm.Ins Hlt;
+              ];
+            post = [ (RAX, if tk then 1L else 0L) ];
+            flags;
+            mem' = [];
+            exit = None;
+          })
+        conds taken)
+    [
+      (* 3 - 5: SF CF *)
+      ( "cmp r,r", Cmp (Reg RBX, Reg RCX), [ (RBX, 3L); (RCX, 5L) ], 6L,
+        [ f; t; t; t; f; f; t; t; f; f; t; f ] );
+      (* min_int - 1: OF *)
+      ( "cmp r,imm", Cmp (Reg RBX, Imm 1L), [ (RBX, Int64.min_int) ], 8L,
+        [ f; t; t; t; f; f; f; f; t; t; f; t ] );
+      (* -1 & min_int: SF *)
+      ( "test r,r", Test (Reg RBX, Reg RCX), [ (RBX, -1L); (RCX, Int64.min_int) ], 2L,
+        [ f; t; t; t; f; f; f; f; t; t; t; f ] );
+      (* 12 & 3 = 0: ZF *)
+      ( "test r,imm", Test (Reg RBX, Imm 3L), [ (RBX, 12L) ], 1L,
+        [ t; f; f; t; f; t; f; t; f; t; f; t ] );
+    ]
+
+let table_ocall index itp =
+  if index = 3 then begin
+    Interp.write_reg itp RAX 77L;
+    Interp.Continue
+  end
+  else Interp.Halt (Interp.Ocall_denied index)
+
+let run_row ~stepped r =
+  let layout = table_layout in
+  let mem = Memory.create layout in
+  let a = Asm.assemble r.prog in
+  Memory.priv_write_bytes mem layout.Layout.code_lo a.Asm.code;
+  let itp = Interp.create ~ocall:table_ocall mem in
+  Interp.init_stack itp;
+  List.iter (fun (reg, v) -> Interp.write_reg itp reg v) r.pre;
+  List.iter (fun (addr, v) -> Memory.priv_write_u64 mem addr v) r.mem;
+  let entry = layout.Layout.code_lo in
+  let exit =
+    if stepped then begin
+      Interp.set_rip itp entry;
+      let rec go () = match Interp.step itp with None -> go () | Some e -> e in
+      go ()
+    end
+    else Interp.run itp ~entry
+  in
+  (exit, itp, mem)
+
+let test_instruction_table () =
+  List.iter
+    (fun r ->
+      let regs = Array.make 16 0L in
+      regs.(reg_index RSP) <- Int64.of_int (table_layout.Layout.stack_hi - 64);
+      List.iter (fun (reg, v) -> regs.(reg_index reg) <- v) (r.pre @ r.post);
+      let want_exit =
+        match r.exit with
+        | Some e -> e
+        | None -> Interp.exit_reason_to_string (Interp.Exited regs.(reg_index RAX))
+      in
+      List.iter
+        (fun stepped ->
+          let exit, itp, mem = run_row ~stepped r in
+          let label what = Printf.sprintf "%s (%s): %s" r.name
+              (if stepped then "stepped" else "blocks") what in
+          Alcotest.(check string) (label "exit") want_exit (Interp.exit_reason_to_string exit);
+          Alcotest.(check (list int64)) (label "registers") (Array.to_list regs)
+            (List.map snd (Interp.register_file itp));
+          Alcotest.(check int64) (label "flags") r.flags (Interp.flags_word itp);
+          List.iter
+            (fun (addr, v) ->
+              Alcotest.(check int64) (label (Printf.sprintf "word at %#x" addr)) v
+                (Memory.priv_read_u64 mem addr))
+            (r.mem' @ List.filter (fun (addr, _) -> not (List.mem_assoc addr r.mem')) r.mem))
+        [ true; false ])
+    (instruction_rows @ branch_rows)
+
 let suite =
   [
     Alcotest.test_case "mov/arith" `Quick test_mov_arith;
@@ -495,8 +789,8 @@ let suite =
     Alcotest.test_case "instr limit" `Quick test_instr_limit;
     Alcotest.test_case "self-modifying code + decode cache" `Quick
       test_self_modifying_code_and_cache;
-    Alcotest.test_case "decode cache resets on code generation" `Quick
-      test_decode_cache_generation_reset;
+    Alcotest.test_case "op cache resets on code generation" `Quick
+      test_op_cache_generation_reset;
     Alcotest.test_case "aex clobbers marker" `Quick test_aex_injection_clobbers_marker;
     Alcotest.test_case "aex deterministic" `Quick test_aex_determinism;
     Alcotest.test_case "ocall dispatch" `Quick test_ocall_dispatch;
@@ -504,4 +798,5 @@ let suite =
     Alcotest.test_case "rsp pivot leaks" `Quick test_rsp_pivot_leaks_to_host;
     Alcotest.test_case "policy abort codes" `Quick test_policy_abort_exit_codes;
     Alcotest.test_case "single program stats" `Quick test_single_step;
+    Alcotest.test_case "instruction table" `Quick test_instruction_table;
   ]

@@ -1,24 +1,27 @@
-(* The execution-tier equivalence gate. The trace tier (compiled basic
-   blocks, fused superinstructions) must be observationally identical to
-   the single-stepper: same exit reason, same registers and flags, same
-   fuel and cycle accounting, same SSA bytes after AEX storms, same leak
-   log, same per-class histograms. This suite is the differential
-   harness that enforces it:
+(* The execution-tier equivalence gate. Running compiled basic blocks
+   (fused superinstructions, chained, with bulk counter updates) must be
+   observationally identical to retiring one instruction at a time with
+   [Interp.step]: same exit reason, same registers and flags, same fuel
+   and cycle accounting, same SSA bytes after AEX storms, same leak log,
+   same per-class histograms, same flight-recorder and profiler streams.
+   This suite is the differential harness that enforces it:
 
    - a seeded fuzz sweep (default 200 programs, [DEFLECTION_TIER_SEEDS]
-     overrides) runs every generated program under both tiers and
-     compares the full observable state, shrinking the instruction limit
-     to a minimal diverging repro before failing;
-   - generation-bump tests pin that code writes invalidate compiled
-     traces exactly like the decode cache, both between runs and mid-run
-     (an OCall handler patching a live loop);
-   - forced-fallback tests pin that chaos plans and the fuzz monitor
-     (which need per-instruction observation) reach verdicts identical
-     to an unmonitored trace-tier run, and that the run names why it
-     left the trace tier;
-   - the committed nBench golden digests are re-asserted under both
-     tiers for a subset of workloads, and the trace run's counters are
-     pinned exactly. *)
+     overrides) runs every generated program both ways with a flight
+     recorder and a profiler attached and compares the full observable
+     state, shrinking the instruction limit to a minimal diverging repro
+     before failing; the MiniC reference evaluator, the semantics'
+     independent reference, must match every normal exit, and a program
+     it completes may end otherwise only where the platform cut it short;
+   - generation-bump tests pin that code writes invalidate compiled code,
+     both between runs and mid-run (an OCall handler patching a live
+     loop);
+   - chaos-plan tests pin that an AEX storm or a fuel limit injected by
+     a plan runs exactly like the same schedule given as plain config,
+     on compiled blocks, and that the fuzz monitor (which steps) reaches
+     the verdicts of an unmonitored block run;
+   - the committed nBench golden digests are re-asserted for every
+     workload, and two workloads' trace counters are pinned exactly. *)
 
 module Gen = Deflection_fuzz.Gen
 module Monitor = Deflection_fuzz.Monitor
@@ -37,20 +40,43 @@ module Objfile = Deflection_isa.Objfile
 module Session = Deflection.Session
 module Chaos = Deflection_chaos.Chaos
 module Sha256 = Deflection_crypto.Sha256
+module Eval = Deflection_compiler.Eval
+module Flight_recorder = Deflection_forensics.Flight_recorder
+module Profiler = Deflection_forensics.Profiler
 module W = Deflection_workloads
 
 let policies = Policy.Set.p1_p6
 let compile_exn src = Frontend.compile_exn ~policies ~ssa_q:20 src
 
 (* ------------------------------------------------------------------ *)
-(* The dual-tier executor: the full in-enclave admission pipeline
-   (load, verify, immediate rewrite, leader export) followed by a bare
-   interpreter run — no session machinery, so every observable below is
-   produced by the tier under test and nothing else. OCall semantics
-   mirror the fuzz monitor's wrappers exactly. *)
+(* The two ways to drive the interpreter: one [Interp.step] per
+   instruction, framed the way [Interp.run] frames a run (the ECall
+   event first, the profiler's catch-up last), or [Interp.run]'s
+   compiled blocks. *)
+
+type drive = Stepped | Blocks
+
+let execute drive itp ~entry =
+  match drive with
+  | Blocks -> Interp.run itp ~entry
+  | Stepped ->
+    Interp.set_rip itp entry;
+    Flight_recorder.record (Interp.recorder itp) Flight_recorder.Ecall ~pc:entry ~arg:0;
+    let rec go () = match Interp.step itp with None -> go () | Some r -> r in
+    let r = go () in
+    Profiler.catch_up (Interp.profiler itp) ~cycles:(Interp.cycles itp) ~pc:(Interp.rip itp);
+    r
+
+(* ------------------------------------------------------------------ *)
+(* The executor: the full in-enclave admission pipeline (load, verify,
+   immediate rewrite, leader export) followed by a bare interpreter run
+   — no session machinery, so every observable below is produced by the
+   drive under test and nothing else. OCall semantics mirror the fuzz
+   monitor's wrappers exactly. *)
 
 type obs = {
   o_exit : string;
+  o_reason : Interp.exit_reason;
   o_rip : int;
   o_flags : int64;
   o_regs : (string * int64) list;
@@ -64,9 +90,11 @@ type obs = {
   o_leaked : int;
   o_outputs : string list;
   o_generation : int;
+  o_recorded : string;  (* digest of the flight-recorder stream *)
+  o_hotspots : string;  (* the profiler's sampled sites *)
 }
 
-let run_obj ~tier ~instr_limit ~aex_interval ~aex_seed ~inputs (obj : Objfile.t) =
+let run_obj ~drive ~instr_limit ~aex_interval ~aex_seed ~inputs (obj : Objfile.t) =
   let layout = Layout.make Layout.default_config in
   let mem = Memory.create layout in
   let loaded =
@@ -134,19 +162,29 @@ let run_obj ~tier ~instr_limit ~aex_interval ~aex_seed ~inputs (obj : Objfile.t)
       aex_interval;
       aex_seed;
       colocated_prob = 0.5;
-      tier;
     }
   in
-  let itp = Interp.create ~config ~ocall mem in
+  let recorder = Flight_recorder.create ~capacity:(1 lsl 18) () in
+  let profiler = Profiler.create ~interval:7 () in
+  let itp = Interp.create ~config ~recorder ~profiler ~ocall mem in
   Interp.init_stack itp;
   Interp.write_reg itp Annot.shadow_stack_reg (Int64.of_int (Layout.ss_stack_base layout));
   Interp.set_block_leaders itp
     (List.map
        (fun off -> loaded.Loader.text_base + off)
        (Verifier.classification_leaders cls));
-  let exit = Interp.run itp ~entry:loaded.Loader.entry_addr in
+  let exit = execute drive itp ~entry:loaded.Loader.entry_addr in
+  let stream = Buffer.create 4096 in
+  List.iter
+    (fun (e : Flight_recorder.entry) ->
+      Buffer.add_string stream
+        (Printf.sprintf "%d %s %x %d\n" e.Flight_recorder.seq
+           (Flight_recorder.kind_label e.Flight_recorder.ekind)
+           e.Flight_recorder.pc e.Flight_recorder.arg))
+    (Flight_recorder.entries recorder);
   {
     o_exit = Interp.exit_reason_to_string exit;
+    o_reason = exit;
     o_rip = Interp.rip itp;
     o_flags = Interp.flags_word itp;
     o_regs = Interp.register_file itp;
@@ -163,6 +201,17 @@ let run_obj ~tier ~instr_limit ~aex_interval ~aex_seed ~inputs (obj : Objfile.t)
     o_leaked = Memory.leaked_bytes mem;
     o_outputs = List.rev !outputs;
     o_generation = Memory.code_generation mem;
+    o_recorded =
+      Printf.sprintf "%d/%d:%s" (Flight_recorder.recorded recorder)
+        (Flight_recorder.dropped recorder)
+        (Digest.to_hex (Digest.string (Buffer.contents stream)));
+    o_hotspots =
+      Printf.sprintf "%d/%d:%s" (Profiler.retired profiler) (Profiler.samples_total profiler)
+        (String.concat ";"
+           (List.map
+              (fun (h : Profiler.hotspot) ->
+                Printf.sprintf "%x=%d" h.Profiler.pc h.Profiler.count)
+              (Profiler.hotspots profiler)));
   }
 
 (* Render each observable to a comparable string; the first differing
@@ -187,6 +236,8 @@ let obs_fields (o : obs) =
           (List.map (fun (a, v) -> Printf.sprintf "%#x=%d" a v) o.o_leaks) );
     ("outputs", String.concat "|" o.o_outputs);
     ("code_generation", string_of_int o.o_generation);
+    ("recorder_entries", o.o_recorded);
+    ("profiler_hotspots", o.o_hotspots);
   ]
 
 let diff_obs a b =
@@ -227,24 +278,40 @@ let test_differential () =
     let instr_limit = if i mod 10 = 0 then 777 else 400_000 in
     let aex_interval = if i mod 7 = 0 then Some 150 else Some 4_000 in
     let aex_seed = Int64.of_int ((31 * i) + 7) in
-    let diff lim =
-      let run tier =
-        run_obj ~tier ~instr_limit:lim ~aex_interval ~aex_seed ~inputs:g.Gen.inputs obj
-      in
-      diff_obs (run Interp.Step) (run Interp.Trace)
+    let run drive lim =
+      run_obj ~drive ~instr_limit:lim ~aex_interval ~aex_seed ~inputs:g.Gen.inputs obj
     in
-    match diff instr_limit with
-    | None -> ()
+    let diff lim = diff_obs (run Stepped lim) (run Blocks lim) in
+    let blocks = run Blocks instr_limit in
+    match diff_obs (run Stepped instr_limit) blocks with
+    | None -> (
+      (* the MiniC reference evaluator: a normal exit must match it, and a
+         program it completes may otherwise only be cut short by the
+         platform — the instruction limit or a P6 abort after an AEX *)
+      match (Eval.run ~inputs:g.Gen.inputs g.Gen.prog, blocks.o_reason) with
+      | Ok e, Interp.Exited code ->
+        Alcotest.(check int64)
+          (Printf.sprintf "seed %Ld: exit code vs reference" seed)
+          e.Eval.exit_code code;
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %Ld: outputs vs reference" seed)
+          e.Eval.outputs blocks.o_outputs
+      | Ok _, (Interp.Limit_exceeded | Interp.Policy_abort (Annot.Aex_budget | Annot.Colocation))
+      | Error _, _ ->
+        ()
+      | Ok _, _ ->
+        Alcotest.failf "seed %Ld: the reference evaluator completes, the run ended with %s"
+          seed blocks.o_exit)
     | Some _ ->
       let l = shrink_limit ~diverges:(fun lim -> diff lim <> None) instr_limit in
       let field, s, t =
         match diff l with Some d -> d | None -> ("unstable-divergence", "", "")
       in
       Alcotest.failf
-        "tiers diverged at seed %Ld (shrunk repro: instr_limit=%d, aex_interval=%s, \
-         aex_seed=%Ld): %s differs\n\
-        \  step : %s\n\
-        \  trace: %s\n\
+        "stepped and block runs diverged at seed %Ld (shrunk repro: instr_limit=%d, \
+         aex_interval=%s, aex_seed=%Ld): %s differs\n\
+        \  stepped: %s\n\
+        \  blocks : %s\n\
          program:\n\
          %s"
         seed l
@@ -253,20 +320,20 @@ let test_differential () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Generation bumps invalidate compiled traces like the decode cache *)
+(* Generation bumps invalidate compiled code *)
 
 let write_program mem layout items =
   let a = Asm.assemble items in
   Memory.priv_write_bytes mem layout.Layout.code_lo a.Asm.code;
   a
 
-let bare_interp ?ocall ~tier mem =
+let bare_interp ?ocall mem =
   let ocall =
     match ocall with
     | Some f -> f
     | None -> fun index _ -> Interp.Halt (Interp.Ocall_denied index)
   in
-  let config = { Interp.default_config with Interp.aex_interval = None; tier } in
+  let config = { Interp.default_config with Interp.aex_interval = None } in
   let itp = Interp.create ~config ~ocall mem in
   Interp.init_stack itp;
   itp
@@ -278,12 +345,11 @@ let test_patch_between_runs () =
     write_program mem layout
       [ Asm.Ins (Isa.Mov (Isa.Reg Isa.RAX, Isa.Imm 1L)); Asm.Ins Isa.Hlt ]
   in
-  let itp = bare_interp ~tier:Interp.Trace mem in
+  let itp = bare_interp mem in
   let entry = layout.Layout.code_lo in
   Alcotest.(check string) "first run" "exited(1)"
     (Interp.exit_reason_to_string (Interp.run itp ~entry));
   Alcotest.(check bool) "trace cache populated" true (Interp.trace_cache_size itp > 0);
-  Alcotest.(check bool) "decode cache populated" true (Interp.decode_cache_size itp > 0);
   let tcs = Interp.trace_cache_size itp in
   (* re-running without a code write reuses the compiled trace: the
      cache is keyed by generation, not by run boundaries *)
@@ -302,8 +368,8 @@ let test_patch_between_runs () =
 
 (* An OCall handler patches the loop body while the loop's compiled
    trace is hot: the generation bump must force recompilation before
-   the next iteration, exactly as the decode cache would re-decode. *)
-let patch_loop_exit tier =
+   the next iteration, stepped or in blocks. *)
+let patch_loop_exit drive =
   let layout = Layout.make Layout.default_config in
   let mem = Memory.create layout in
   let a =
@@ -331,69 +397,68 @@ let patch_loop_exit tier =
     end
     else Interp.Halt (Interp.Ocall_denied index)
   in
-  let itp = bare_interp ~ocall ~tier mem in
-  let exit = Interp.run itp ~entry:layout.Layout.code_lo in
+  let itp = bare_interp ~ocall mem in
+  let exit = execute drive itp ~entry:layout.Layout.code_lo in
   (Interp.exit_reason_to_string exit, !calls)
 
 let test_patch_mid_run () =
-  (* the last loop iteration runs the patched mov: a stale trace would
-     exit with 1; both tiers must see 2 *)
-  let trace = patch_loop_exit Interp.Trace in
-  let step = patch_loop_exit Interp.Step in
-  Alcotest.(check (pair string int)) "trace tier sees the patch" ("exited(2)", 2) trace;
-  Alcotest.(check (pair string int)) "tiers agree" step trace
+  (* the last loop iteration runs the patched mov: stale compiled code
+     would exit with 1; both drives must see 2 *)
+  let blocks = patch_loop_exit Blocks in
+  let stepped = patch_loop_exit Stepped in
+  Alcotest.(check (pair string int)) "blocks see the patch" ("exited(2)", 2) blocks;
+  Alcotest.(check (pair string int)) "stepping sees the patch" ("exited(2)", 2) stepped
 
 (* ------------------------------------------------------------------ *)
-(* Forced fallback: chaos plans and the fuzz monitor pin the
-   single-step tier; their verdicts must match trace-tier runs. *)
+(* Chaos plans run on compiled blocks: a plan's AEX storm or fuel limit
+   must run exactly like the same schedule given as plain config. The
+   fuzz monitor steps; its verdicts must match unmonitored block runs. *)
 
-let off_reason (o : Session.outcome) reason =
-  List.assoc_opt ("interp.trace.off." ^ reason) o.Session.telemetry.counters
+let plan_src = (Gen.generate ~seed:4242L).Gen.source
+let plan_inputs = (Gen.generate ~seed:4242L).Gen.inputs
 
-let chaos_outcomes_match ~fault src inputs =
-  let plan = { Chaos.seed = 77L; faults = [ fault ] } in
-  let run tier =
-    let interp = { Interp.default_config with Interp.tier } in
-    match
-      Session.run ~interp ~seed:42L ~chaos:(Chaos.of_plan plan) ~source:src ~inputs ()
-    with
+let plan_matches_config ~fault ~interp =
+  let run ?chaos interp =
+    match Session.run ~interp ~seed:42L ?chaos ~source:plan_src ~inputs:plan_inputs () with
     | Ok o -> o
-    | Error e -> Alcotest.failf "chaos session failed: %s" (Session.error_to_string e)
+    | Error e -> Alcotest.failf "session failed: %s" (Session.error_to_string e)
   in
-  let a = run Interp.Step and b = run Interp.Trace in
+  let plan = { Chaos.seed = 77L; faults = [ fault ] } in
+  let planned = run ~chaos:(Chaos.of_plan plan) Interp.default_config and plain = run interp in
   Alcotest.(check string) "exit"
-    (Interp.exit_reason_to_string a.Session.exit)
-    (Interp.exit_reason_to_string b.Session.exit);
-  Alcotest.(check int) "cycles" a.Session.cycles b.Session.cycles;
-  Alcotest.(check int) "instructions" a.Session.instructions b.Session.instructions;
-  Alcotest.(check int) "aexes" a.Session.aexes b.Session.aexes;
-  Alcotest.(check bool) "outputs" true (a.Session.outputs = b.Session.outputs);
-  Alcotest.(check (option int)) "the step tier is named as the reason" (Some 1)
-    (off_reason b "step_tier");
-  a
+    (Interp.exit_reason_to_string plain.Session.exit)
+    (Interp.exit_reason_to_string planned.Session.exit);
+  Alcotest.(check int) "cycles" plain.Session.cycles planned.Session.cycles;
+  Alcotest.(check int) "instructions" plain.Session.instructions planned.Session.instructions;
+  Alcotest.(check int) "aexes" plain.Session.aexes planned.Session.aexes;
+  Alcotest.(check bool) "outputs" true (planned.Session.outputs = plain.Session.outputs);
+  let trace (o : Session.outcome) =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"interp.trace." k)
+      o.Session.telemetry.counters
+  in
+  Alcotest.(check (list (pair string int))) "trace counters" (trace plain) (trace planned);
+  Alcotest.(check bool) "the plan's run retired instructions in blocks" true
+    (Option.value ~default:0 (List.assoc_opt "interp.trace.in_block" (trace planned)) > 0);
+  planned
 
-let fallback_src = (Gen.generate ~seed:4242L).Gen.source
-let fallback_inputs = (Gen.generate ~seed:4242L).Gen.inputs
-
-let test_fallback_aex_storm () =
+let test_plan_aex_storm () =
   let o =
-    chaos_outcomes_match ~fault:(Chaos.Aex_storm { interval = 40 }) fallback_src
-      fallback_inputs
+    plan_matches_config ~fault:(Chaos.Aex_storm { interval = 40 })
+      ~interp:{ Interp.default_config with Interp.aex_interval = Some 40 }
   in
   Alcotest.(check bool) "storm actually fired" true (o.Session.aexes > 0)
 
-let test_fallback_fuel_limit () =
+let test_plan_fuel_limit () =
   let o =
-    chaos_outcomes_match ~fault:(Chaos.Fuel_limit { fuel = 50 }) fallback_src
-      fallback_inputs
+    plan_matches_config ~fault:(Chaos.Fuel_limit { fuel = 50 })
+      ~interp:{ Interp.default_config with Interp.fuel = Some 50 }
   in
-  Alcotest.(check bool) "watchdog fired" true (o.Session.exit = Interp.Fuel_exhausted);
-  Alcotest.(check (option int)) "the fuel budget is named as a reason" (Some 1)
-    (off_reason o "fuel")
+  Alcotest.(check bool) "watchdog fired" true (o.Session.exit = Interp.Fuel_exhausted)
 
 let test_monitor_matches_trace () =
   (* the P1-P5 monitor single-steps with its own pre/post hooks; a clean
-     program's verdict must agree with an unmonitored trace-tier run *)
+     program's verdict must agree with an unmonitored block run *)
   List.iter
     (fun s ->
       let g = Gen.generate ~seed:(Int64.of_int s) in
@@ -401,7 +466,7 @@ let test_monitor_matches_trace () =
       match Monitor.run ~inputs:g.Gen.inputs ~policies ~ssa_q:20 obj with
       | Monitor.Executed e ->
         let o =
-          run_obj ~tier:Interp.Trace ~instr_limit:2_000_000 ~aex_interval:None
+          run_obj ~drive:Blocks ~instr_limit:2_000_000 ~aex_interval:None
             ~aex_seed:0L ~inputs:g.Gen.inputs obj
         in
         Alcotest.(check string)
@@ -423,7 +488,7 @@ let test_monitor_matches_trace () =
     [ 11; 23; 57 ]
 
 (* ------------------------------------------------------------------ *)
-(* The committed golden nBench digests, re-asserted by both tiers *)
+(* The committed golden nBench digests and the trace counters *)
 
 (* `dune runtest` runs from the sandboxed test directory, `dune exec
    test/main.exe` from the workspace root: accept either anchor *)
@@ -451,14 +516,14 @@ let read_golden () =
     Some (go [])
   with Sys_error _ -> None
 
-(* The trace run's schedule-independent counters, pinned exactly: a run
-   forced onto the step tier, chaining that stops using its successor
-   slots, or blocks that stop at the wrong place each move them. The
-   leaders are the verifier's branch targets and entries; handing over
-   every instruction start instead cuts blocks to ~1.5 instructions. Each
-   injected AEX (one in NUMERIC SORT, two in IDEA) dumps the SSA through
-   a privileged write, which moves the code generation: that is the
-   invalidation count. *)
+(* The schedule-independent counters of two workloads, pinned exactly:
+   a run that stops entering blocks, chaining that stops using its
+   successor slots, or blocks that stop at the wrong place each move
+   them. The leaders are the verifier's branch targets and entries;
+   handing over every instruction start instead cuts blocks to ~1.5
+   instructions. The injected AEXes (one in NUMERIC SORT, two in IDEA)
+   dump the SSA through privileged writes to non-executable pages, which
+   leave the code generation — and so every compiled block — alone. *)
 let trace_golden =
   [
     ( "NUMERIC SORT",
@@ -469,9 +534,9 @@ let trace_golden =
         ("interp.trace.in_block", 3_075_754);
         ("interp.trace.steps.boundary", 10);
         ("interp.trace.steps.no_block", 2);
-        ("interp.trace.blocks_compiled", 182);
-        ("interp.trace.lookups", 219);
-        ("interp.trace.invalidations", 1);
+        ("interp.trace.blocks_compiled", 124);
+        ("interp.trace.lookups", 150);
+        ("interp.trace.invalidations", 0);
       ] );
     ( "IDEA",
       [
@@ -481,9 +546,9 @@ let trace_golden =
         ("interp.trace.in_block", 2_794_201);
         ("interp.trace.steps.boundary", 17);
         ("interp.trace.steps.no_block", 2);
-        ("interp.trace.blocks_compiled", 348);
-        ("interp.trace.lookups", 388);
-        ("interp.trace.invalidations", 2);
+        ("interp.trace.blocks_compiled", 235);
+        ("interp.trace.lookups", 260);
+        ("interp.trace.invalidations", 0);
       ] );
   ]
 
@@ -491,33 +556,42 @@ let test_golden_digests () =
   match read_golden () with
   | None -> Alcotest.failf "golden digest file missing: %s" golden_path
   | Some golden ->
+    Alcotest.(check (list string)) "one golden digest per workload"
+      (List.map (fun (b : W.Nbench.benchmark) -> b.W.Nbench.name) W.Nbench.all)
+      (List.map fst golden);
     List.iter
-      (fun (name, counters) ->
-        let b =
-          match W.Nbench.find name with
-          | Some b -> b
-          | None -> Alcotest.failf "unknown workload %s" name
-        in
-        let run tier =
-          match W.Runner.run ~tier b.W.Nbench.source with
+      (fun (b : W.Nbench.benchmark) ->
+        let name = b.W.Nbench.name in
+        let m =
+          match W.Runner.run b.W.Nbench.source with
           | Ok m -> m
           | Error e -> Alcotest.failf "%s failed: %s" name e
         in
-        let digest m = Sha256.hex_digest_string (String.concat "\n" m.W.Runner.outputs) in
-        let ds = digest (run Interp.Step) in
-        let mt = run Interp.Trace in
-        let dt = digest mt in
-        Alcotest.(check string) (name ^ ": tiers agree") ds dt;
-        (match List.assoc_opt name golden with
-        | Some hex -> Alcotest.(check string) (name ^ ": matches golden") hex dt
-        | None -> Alcotest.failf "%s: no golden digest committed" name);
-        let value k =
-          Option.value ~default:(-1) (List.assoc_opt k mt.W.Runner.telemetry.counters)
-        in
-        Alcotest.(check (list (pair string int)))
-          (name ^ ": trace counters") counters
-          (List.map (fun (k, _) -> (k, value k)) counters))
-      trace_golden
+        Alcotest.(check string) (name ^ ": matches golden") (List.assoc name golden)
+          (Sha256.hex_digest_string (String.concat "\n" m.W.Runner.outputs));
+        match List.assoc_opt name trace_golden with
+        | None -> ()
+        | Some counters ->
+          let pinned (m : W.Runner.measurement) =
+            List.map
+              (fun (k, _) ->
+                (k, Option.value ~default:(-1) (List.assoc_opt k m.W.Runner.telemetry.counters)))
+              counters
+          in
+          Alcotest.(check (list (pair string int))) (name ^ ": trace counters") counters (pinned m);
+          (* observing does not change what runs *)
+          let observed =
+            match
+              W.Runner.run ~recorder:(Flight_recorder.create ()) ~profiler:(Profiler.create ())
+                b.W.Nbench.source
+            with
+            | Ok m -> m
+            | Error e -> Alcotest.failf "%s (observed) failed: %s" name e
+          in
+          Alcotest.(check (list (pair string int)))
+            (name ^ ": trace counters with a recorder and a profiler attached") counters
+            (pinned observed))
+      W.Nbench.all
 
 let suite =
   [
@@ -527,12 +601,9 @@ let suite =
       test_patch_between_runs;
     Alcotest.test_case "generation bump invalidates traces mid-run (ocall patch)" `Quick
       test_patch_mid_run;
-    Alcotest.test_case "fallback: AEX storm verdict identical across tiers" `Quick
-      test_fallback_aex_storm;
-    Alcotest.test_case "fallback: fuel limit verdict identical across tiers" `Quick
-      test_fallback_fuel_limit;
+    Alcotest.test_case "chaos plan: AEX storm equals config" `Quick test_plan_aex_storm;
+    Alcotest.test_case "chaos plan: fuel limit equals config" `Quick test_plan_fuel_limit;
     Alcotest.test_case "fallback: monitor verdict matches unmonitored trace run" `Quick
       test_monitor_matches_trace;
-    Alcotest.test_case "golden nBench digests hold under both tiers" `Slow
-      test_golden_digests;
+    Alcotest.test_case "golden nBench digests and counters" `Slow test_golden_digests;
   ]
