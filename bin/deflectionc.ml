@@ -27,6 +27,7 @@ module Profiler = Deflection_forensics.Profiler
 module Report = Deflection_forensics.Report
 module Prometheus = Deflection_forensics.Prometheus
 module Gateway = Deflection_gateway.Gateway
+module Verdict_cache = Deflection_gateway.Verdict_cache
 module Audit = Deflection_audit.Audit
 module Attestation = Deflection_attestation.Attestation
 module Server = Deflection_server.Server
@@ -47,7 +48,7 @@ let schema_versions =
     ("fuzz", "1");
     ("gateway", "1");
     ("server", "1");
-    ("server-cache", "2");
+    ("server-cache", "3");
     ("server-chaos", "1");
     ("audit", "2");
     ("forensics", "1");
@@ -701,7 +702,7 @@ let gateway_cmd =
       Format.eprintf "gateway: --jobs must be >= 1@.";
       exit 1
     end;
-    let cache = if cold then None else Some (Verifier.Cache.create ()) in
+    let cache = if cold then None else Some (Verdict_cache.create ()) in
     let btm =
       match trace with
       | Some _ -> Telemetry.create ~sink:(Telemetry.Sink.ring ~capacity:65536) ()
@@ -738,7 +739,7 @@ let gateway_cmd =
             | None -> Json.Null
             | Some s ->
               Json.Obj
-                (List.map (fun (k, v) -> (k, Json.Int v)) (Verifier.Cache.stats_to_list s)) );
+                (List.map (fun (k, v) -> (k, Json.Int v)) (Verdict_cache.stats_to_list s)) );
           ("results", Json.List (List.map gateway_result_json batch.Gateway.results));
           ( "counters",
             Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) batch.Gateway.counters) );
@@ -885,7 +886,7 @@ let serve_cmd =
       & info [ "state" ] ~docv:"DIR"
           ~doc:
             "Persistence root: the verdict caches are sealed to \
-             $(docv)/verdict-cache.json (a deflection-server-cache/2 document) every \
+             $(docv)/verdict-cache.json (a deflection-server-cache/3 document) every \
              --persist-every rounds and reloaded — segment by segment, fail-closed — on the \
              next start.")
   in

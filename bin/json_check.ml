@@ -196,12 +196,8 @@ let check_gateway path json =
     | true, Some (Json.Obj _ as cache) ->
       let hits = int_field path cache "hits" in
       let misses = int_field path cache "misses" in
-      let entries = int_field path cache "entries" in
-      let capacity = int_field path cache "capacity" in
       if hits + misses <> sessions then
         die "%s: cache hits (%d) + misses (%d) != sessions (%d)" path hits misses sessions;
-      if entries > capacity then
-        die "%s: cache holds %d settled entries over its capacity %d" path entries capacity;
       Some (hits, misses)
     | true, _ -> die "%s: warm batch without a \"cache\" object" path
     | false, (Some Json.Null | None) -> None

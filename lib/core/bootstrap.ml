@@ -32,10 +32,12 @@ type config = {
   oram_capacity : int option;
       (* when set, the manifest's oram_read/oram_write OCalls are backed
          by a Path ORAM over untrusted host memory (paper Section VII) *)
-  verifier_cache : Verifier.Cache.t option;
-      (* when set, ecall_receive_binary consults the measurement-keyed
-         verdict cache before running the verifier pass (verify-once /
-         admit-many, shared across enclave instances of one gateway) *)
+  verifier_cache :
+    (key:string -> verify:(unit -> Verifier.verdict) -> Verifier.verdict * [ `Hit | `Miss ])
+    option;
+      (* when set, ecall_receive_binary looks its verdict up under the key
+         it derives itself ([cache_key]), running its own verifier pass
+         on a miss: verify-once / admit-many across one gateway *)
   audit : Audit.sink option;
       (* when set, every admission decision ecall_receive_binary renders
          — acceptance or rejection, cached or not — appends one record
@@ -167,6 +169,18 @@ let accept_party t ~role hello =
   | Ratls.Data_owner -> t.owner_session <- Some session);
   reply
 
+(* The verdict-cache key, derived inside the enclave from what it was
+   delivered: the verification mode (the tiers are not extensionally
+   equal), the enforced policy set, the period q and the exact serialized
+   objfile, witness section included. *)
+let cache_key (config : config) ~ssa_q serialized =
+  let ctx = Sha256.init () in
+  Sha256.update_string ctx
+    (Printf.sprintf "%s|%s|q=%d|" (Verifier.mode_label config.verification)
+       (Policy.Set.label config.policies) ssa_q);
+  Sha256.update ctx serialized;
+  Bytes.to_string (Sha256.finalize ctx)
+
 let ecall_receive_binary t sealed =
   Telemetry.span t.tm "deliver" @@ fun () ->
   match t.provider_session with
@@ -185,19 +199,21 @@ let ecall_receive_binary t sealed =
          with
         | Error e -> Error (Loader_error e)
         | Ok loaded ->
+          let verify () =
+            Verifier.verify_mode ~tm:t.tm ~mode:t.config.verification
+              ~policies:t.config.policies ~ssa_q:obj.Objfile.ssa_q obj
+          in
           let verdict, cache_outcome =
             match t.config.verifier_cache with
-            | Some cache ->
-              let v, o =
-                Verifier.Cache.verify_classified_outcome cache ~tm:t.tm
-                  ~mode:t.config.verification ~policies:t.config.policies
-                  ~ssa_q:obj.Objfile.ssa_q ~serialized:plaintext obj
-              in
-              (v, match o with `Hit -> Audit.Hit | `Miss -> Audit.Miss)
-            | None ->
-              ( Verifier.verify_mode ~tm:t.tm ~mode:t.config.verification
-                  ~policies:t.config.policies ~ssa_q:obj.Objfile.ssa_q obj,
-                Audit.Uncached )
+            | None -> (verify (), Audit.Uncached)
+            | Some lookup -> (
+              match lookup ~key:(cache_key t.config ~ssa_q:obj.Objfile.ssa_q plaintext) ~verify with
+              | v, `Hit ->
+                Telemetry.count t.tm "verifier.cache.hit" 1;
+                (v, Audit.Hit)
+              | v, `Miss ->
+                Telemetry.count t.tm "verifier.cache.miss" 1;
+                (v, Audit.Miss))
           in
           (* the admission decision is now rendered: evidence it before
              acting on it, acceptance and rejection alike *)

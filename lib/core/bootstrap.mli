@@ -38,11 +38,17 @@ type config = {
       (** when set (and the manifest includes the [oram_*] OCalls, see
           {!Manifest.with_oram}), the enclave offers oblivious storage in
           untrusted host memory through a Path ORAM (paper Section VII) *)
-  verifier_cache : Verifier.Cache.t option;
-      (** when set, {!ecall_receive_binary} consults the measurement-keyed
-          verdict cache before running its own verifier pass — the
-          verify-once/admit-many fast path a gateway shares across the
-          enclave instances it drives. [None] (the default) verifies every
+  verifier_cache :
+    (key:string -> verify:(unit -> Verifier.verdict) -> Verifier.verdict * [ `Hit | `Miss ])
+    option;
+      (** when set, {!ecall_receive_binary} derives the verdict-cache key
+          itself — SHA-256 over the verification mode, the policy-set
+          label, the period [q] and the delivered objfile bytes — and
+          looks the verdict up under it, handing over its own verifier
+          pass to run on a miss: the verify-once/admit-many fast path a
+          gateway shares across the enclave instances it drives. The
+          enclave counts ["verifier.cache.hit"] / ["verifier.cache.miss"]
+          and audits the outcome. [None] (the default) verifies every
           delivery from scratch. *)
   audit : Audit.sink option;
       (** when set, every admission decision {!ecall_receive_binary}

@@ -87,7 +87,8 @@ val run :
   ?interp:Interp.config ->
   ?seed:int64 ->
   ?oram_capacity:int ->
-  ?verifier_cache:Verifier.Cache.t ->
+  ?verifier_cache:
+    (key:string -> verify:(unit -> Verifier.verdict) -> Verifier.verdict * [ `Hit | `Miss ]) ->
   ?precompiled:Deflection_isa.Objfile.t ->
   ?audit:Deflection_audit.Audit.sink ->
   ?verification:Verifier.mode ->
@@ -109,8 +110,9 @@ val run :
     the flight recorder and the sampling profiler to the interpreter.
 
     [verifier_cache] (default none) is handed to the bootstrap enclave so
-    its binary-delivery ECall consults the shared measurement-keyed
-    verdict cache before running a verifier pass; [precompiled] skips the
+    its binary-delivery ECall looks its verdict up in a shared verdict
+    cache, under the key the enclave derives, before running a verifier
+    pass (see {!Bootstrap.config}); [precompiled] skips the
     code provider's compile step and delivers the given objfile instead —
     together they are the gateway's verify-once/admit-many fast path.
     [audit] (default none) hands the bootstrap enclave an audit-log sink:

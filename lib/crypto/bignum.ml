@@ -39,9 +39,9 @@ let to_int_opt a =
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
+  if la <> lb then Int.compare la lb
   else begin
-    let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i) else go (i - 1) in
+    let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then Int.compare a.(i) b.(i) else go (i - 1) in
     go (la - 1)
   end
 

@@ -60,6 +60,14 @@ let rejection_str r = Format.asprintf "%a" Verifier.pp_rejection r
    pure witnessed tier must reproduce the descent verdict exactly —
    same report and classification on acceptance, same (pass, offset,
    reason) triple on rejection. *)
+(* Machinery and guarded stores agree at every text offset. *)
+let same_offsets (obj : Objfile.t) a b =
+  let agree o =
+    Verifier.is_machinery a o = Verifier.is_machinery b o
+    && Verifier.is_guarded_store a o = Verifier.is_guarded_store b o
+  in
+  Seq.for_all agree (Seq.init (Bytes.length obj.Objfile.text) Fun.id)
+
 let witness_differential cfg ~case obj : (unit, failure) result =
   let fail kind detail = Error { case; kind; detail } in
   let d =
@@ -73,7 +81,7 @@ let witness_differential cfg ~case obj : (unit, failure) result =
     if rd <> rw then
       fail Divergence "witnessed tier report differs from descent report"
     else if
-      Verifier.classification_offsets cd <> Verifier.classification_offsets cw
+      (not (same_offsets obj cd cw))
       || Verifier.classification_leaders cd <> Verifier.classification_leaders cw
     then fail Divergence "witnessed tier classification differs from descent"
     else Ok ()

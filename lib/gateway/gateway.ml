@@ -28,7 +28,7 @@ type session_result = {
 type batch = {
   results : session_result list;
   counters : (string * int) list;
-  cache_stats : Verifier.Cache.stats option;
+  cache_stats : Verdict_cache.stats option;
   distinct_binaries : int;
   workers : int;
   latencies : (string * Hdr.t) list;
@@ -154,7 +154,8 @@ let run_batch ?(jobs = 1) ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?layout ?
           | pre ->
             let precompiled = match pre with Some (Ok obj) -> Some obj | _ -> None in
             Session.run ~policies ~ssa_q ?layout ?interp ?resilience_config
-              ?verifier_cache:cache ?precompiled ?audit:audit_sink ~verification
+              ?verifier_cache:(Option.map Verdict_cache.lookup cache)
+              ?precompiled ?audit:audit_sink ~verification
               ~seed:j.seed ~tm:stm ~source:j.source ~inputs:j.inputs ()
         in
         (* fold this session's counters in whether it succeeded or not:
@@ -223,7 +224,7 @@ let run_batch ?(jobs = 1) ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?layout ?
   {
     results = Array.to_list results |> List.map Option.get;
     counters;
-    cache_stats = Option.map Verifier.Cache.stats cache;
+    cache_stats = Option.map Verdict_cache.stats cache;
     distinct_binaries = !distinct;
     workers = k;
     latencies;

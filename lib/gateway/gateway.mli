@@ -4,10 +4,11 @@
     bootstrap enclave, attestation handshakes, sealed delivery, execution
     and output decryption — through two shared fast paths:
 
-    - a {!Verifier.Cache} of verdicts keyed by the measurement of the
-      delivered binary (SHA-256 of the serialized objfile) bound to the
-      enforced policy set and SSA inspection period, so N sessions of the
-      same binary pay the in-enclave verifier pass once; and
+    - a {!Verdict_cache} of verdicts under the key each enclave derives
+      from the delivered binary (SHA-256 of the serialized objfile) bound
+      to the verification mode, the enforced policy set and the SSA
+      inspection period, so N sessions of the same binary pay the
+      in-enclave verifier pass once; and
     - compile-once sharing: each distinct (source, policy set) pair is
       compiled a single time and the objfile handed to every session that
       delivers it.
@@ -59,7 +60,7 @@ type batch = {
   counters : (string * int) list;
       (** telemetry counters summed over every session, sorted by name —
           equal to the sequential totals for any worker count *)
-  cache_stats : Verifier.Cache.stats option;
+  cache_stats : Verdict_cache.stats option;
       (** verdict-cache accounting, when a cache was supplied *)
   distinct_binaries : int;
       (** distinct (source, policy set) pairs compiled up front (0 on the
@@ -90,7 +91,7 @@ val run_batch :
   ?policies:Policy.Set.t ->
   ?ssa_q:int ->
   ?layout:Deflection_enclave.Layout.config ->
-  ?cache:Verifier.Cache.t ->
+  ?cache:Verdict_cache.t ->
   ?interp:Session.Interp.config ->
   ?resilience_config:Session.Resilience.config ->
   ?audit:Audit.Log.t ->

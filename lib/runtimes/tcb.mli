@@ -19,10 +19,36 @@ val paper_table : runtime list
 
 val total_kloc : runtime -> float
 
+(** {2 The trust boundary as a check} *)
+
+type row = {
+  id : string;  (** ["loader"], ["verifier"], ["bootstrap"] or ["attestation"] *)
+  label : string;  (** the component name Table I prints *)
+  lines : int;  (** the row's source lines, counted at build time *)
+  budget : int;  (** the most lines the row may have *)
+  imports : string list;
+      (** the modules the row's sources import ([ocamldep -modules]),
+          sorted, taken at build time *)
+  siblings : string list;
+      (** modules of the row's own library its sources name unqualified *)
+}
+
+val rows : row list
+(** This repository's trusted consumer, one row per component: the loader
+    and imm rewriter ([lib/loader/loader.ml]); the verifier and its
+    decoder ([lib/verifier/verifier.ml], [lib/isa/codec.ml]); the OCall
+    wrappers ([lib/core/bootstrap.ml]); remote attestation and the channel
+    ([lib/attestation/attestation.ml], [lib/crypto/*.ml]). *)
+
+val disallowed_imports : row -> string list
+(** The row's imports that the allowlist does not admit. The allowlist
+    (one place, in [tcb.ml]) admits three kinds: pure stdlib modules (not
+    [Mutex], [Condition], [Domain], [Atomic], [Unix], [Sys] or the
+    channel modules); the consumer and simulated-platform libraries
+    (annot, attestation, crypto, enclave, isa, loader, policy, runtime,
+    util, verifier) and the row's [siblings]; and named exceptions, each
+    with its reason — telemetry in every row, and audit, chaos, forensics
+    and ORAM in the bootstrap row only. *)
+
 val reproduction_components : unit -> component list
-(** This repository's trusted-consumer inventory (loader, verifier, imm
-    rewriter, OCall wrappers, attestation), in kLoC: the line counts of
-    [lib/loader/loader.ml]; [lib/verifier/verifier.ml] +
-    [lib/isa/codec.ml]; [lib/core/bootstrap.ml]; and
-    [lib/attestation/attestation.ml] + [lib/crypto/*.ml], taken at build
-    time. *)
+(** {!rows} as Table I components, in kLoC. *)

@@ -7,8 +7,7 @@ module Verdict_codec = Deflection_audit.Verdict_codec
 module Chaos = Deflection_chaos.Chaos
 module Resilience = Deflection_chaos.Resilience
 
-type verdict = (Verifier.report * Verifier.classification, Verifier.rejection) result
-type entry = { tenant : string; key : string; mode : string; verdict : verdict }
+type entry = { tenant : string; key : string; mode : string; verdict : Verifier.verdict }
 type segment_outcome = Seg_loaded of int | Seg_bad_mac | Seg_malformed
 
 type load_report = {
@@ -38,7 +37,7 @@ let load_report_to_json r =
       ("segments_discarded", Json.Int r.segments_discarded);
     ]
 
-let schema = "deflection-server-cache/2"
+let schema = "deflection-server-cache/3"
 
 type t = {
   file : string;
@@ -49,38 +48,32 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Entry (de)serialization: the shared verdict codec plus the
-   classification offsets an accepted verdict carries. The JSON form is
+(* Entry (de)serialization: the shared verdict codec plus the block
+   leaders an accepted verdict hands the trace tier. The JSON form is
    what goes on disk; the canonical form is what gets MAC'd. *)
 
 let ( let* ) = Result.bind
 
-let offsets = function
-  | Ok (_, cls) -> Some (Verifier.classification_offsets cls)
+let leaders = function
+  | Ok (_, cls) -> Some (Verifier.classification_leaders cls)
   | Error _ -> None
 
 (* The injective per-entry encoding the segment MAC covers: every field
-   length-prefixed by Sealed_log.mac_body, variable-length offset lists
-   preceded by their count. Takes the offsets apart from the entry because
-   a decoded entry holds them as read until the MAC has vouched for them. *)
-let canonical ((e : entry), offsets) =
-  let count label l = label :: string_of_int (List.length l) :: List.map string_of_int l in
-  Sealed_log.mac_body "deflection-server-entry/1"
+   length-prefixed by Sealed_log.mac_body, the variable-length leader list
+   preceded by its count. *)
+let canonical_entry e =
+  Sealed_log.mac_body "deflection-server-entry/2"
     (e.tenant :: Hex.encode_string e.key :: e.mode
      :: Verdict_codec.canonical (Result.map fst e.verdict)
     @
-    match offsets with
-    | Some (machinery, guarded) -> count "machinery" machinery @ count "guarded" guarded
+    match leaders e.verdict with
+    | Some l -> "leaders" :: string_of_int (List.length l) :: List.map string_of_int l
     | None -> [])
 
-let canonical_entry e = canonical (e, offsets e.verdict)
-
 let entry_to_json e =
-  let ints l = Json.List (List.map (fun o -> Json.Int o) l) in
-  let offset_fields =
-    match offsets e.verdict with
-    | Some (machinery, guarded) ->
-      [ ("machinery", ints machinery); ("guarded_stores", ints guarded) ]
+  let leader_field =
+    match leaders e.verdict with
+    | Some l -> [ ("leaders", Json.List (List.map (fun o -> Json.Int o) l)) ]
     | None -> []
   in
   Json.Obj
@@ -88,12 +81,8 @@ let entry_to_json e =
       ("tenant", Json.Str e.tenant);
       ("key", Json.Str (Hex.encode_string e.key));
       ("mode", Json.Str e.mode);
-      ("verdict", Json.Obj (Verdict_codec.fields (Result.map fst e.verdict) @ offset_fields));
+      ("verdict", Json.Obj (Verdict_codec.fields (Result.map fst e.verdict) @ leader_field));
     ]
-
-let int_list name j =
-  let* l = Sealed_log.Field.list name j in
-  Sealed_log.all (function Json.Int i -> Ok i | _ -> Error (name ^ " holds a non-integer")) l
 
 let entry_of_json j =
   let* tenant = Sealed_log.Field.str "tenant" j in
@@ -102,23 +91,17 @@ let entry_of_json j =
   let* _ = Option.to_result ~none:"unknown verification mode" (Verifier.mode_of_label mode) in
   let* vj = Sealed_log.Field.get "verdict" j in
   let* v = Verdict_codec.of_json vj in
-  let* verdict, offsets =
+  let* verdict =
     match v with
-    | Error rej -> Ok (Error rej, None)
+    | Error rej -> Ok (Error rej)
     | Ok rep ->
-      let* machinery = int_list "machinery" vj in
-      let* guarded_stores = int_list "guarded_stores" vj in
-      Ok (Ok (rep, Verifier.empty_classification ()), Some (machinery, guarded_stores))
+      let* l = Sealed_log.Field.list "leaders" vj in
+      let* l =
+        Sealed_log.all (function Json.Int i -> Ok i | _ -> Error "leaders holds a non-integer") l
+      in
+      Ok (Ok (rep, Verifier.classification_of_leaders l))
   in
-  Ok ({ tenant; key = Bytes.to_string key; mode; verdict }, offsets)
-
-(* The classification is sized by its largest offset, so it is rebuilt
-   only from offsets a verified segment MAC vouches for. *)
-let with_classification (e, offsets) =
-  match (e.verdict, offsets) with
-  | Ok (rep, _), Some (machinery, guarded_stores) ->
-    { e with verdict = Ok (rep, Verifier.classification_of_offsets ~machinery ~guarded_stores) }
-  | _ -> e
+  Ok { tenant; key = Bytes.to_string key; mode; verdict }
 
 let rec chunks n = function
   | [] -> []
@@ -250,7 +233,7 @@ let load ~chaos t =
       doc;
     let parsed =
       let* doc = doc in
-      Sealed_log.parse t.log ~decode:entry_of_json ~canonical ~bound:[]
+      Sealed_log.parse t.log ~decode:entry_of_json ~canonical:canonical_entry ~bound:[]
         (apply_host_tamper ~chaos t doc)
     in
     match parsed with
@@ -262,7 +245,7 @@ let load ~chaos t =
              (fun (s : _ Sealed_log.segment) ->
                match s.outcome with
                | Sealed_log.Verified es ->
-                 (Seg_loaded (List.length es), List.map with_classification es)
+                 (Seg_loaded (List.length es), es)
                | Bad_mac _ -> (Seg_bad_mac, [])
                | Malformed _ -> (Seg_malformed, []))
              p.segments)

@@ -6,7 +6,7 @@
     re-verification} of the affected entries — never to admitting from a
     forged verdict, never to refusing to start.
 
-    The on-disk document ([deflection-server-cache/2]) is a
+    The on-disk document ([deflection-server-cache/3]) is a
     {!Deflection_audit.Sealed_log}, the audit plane's own format: entries
     are grouped into segments, each segment carries an HMAC-SHA256 under
     the platform sealing key
@@ -14,8 +14,10 @@
     (generation, segment position, the entries' canonical bytes), and the
     closing MAC binds (generation, segment count, entry count) — the
     cache adds no bound fields of its own. Each entry's verdict uses
-    {!Deflection_audit.Verdict_codec}, plus the classification offsets of
-    an acceptance. Consequences, each pinned by the tamper table the
+    {!Deflection_audit.Verdict_codec}, plus the block leaders of an
+    acceptance, so a recovered verdict hands the trace tier the same
+    leaders a fresh pass would. A file under an older schema loads
+    nothing. Consequences, each pinned by the tamper table the
     [audit] and [server] suites share:
 
     - a bit flip inside a segment, a spliced/reordered segment, a segment
@@ -37,10 +39,9 @@ module Verifier = Deflection_verifier.Verifier
 module Attestation = Deflection_attestation.Attestation
 module Chaos = Deflection_chaos.Chaos
 
-type verdict = (Verifier.report * Verifier.classification, Verifier.rejection) result
-
-type entry = { tenant : string; key : string; mode : string; verdict : verdict }
-(** [key] is the raw 32-byte cache key ({!Verifier.Cache.key}); [mode] is
+type entry = { tenant : string; key : string; mode : string; verdict : Verifier.verdict }
+(** [key] is the raw 32-byte cache key the enclave derived
+    ({!Deflection.Bootstrap.config}); [mode] is
     the {!Verifier.mode_label} of the verification mode the verdict was
     rendered under — redundant with the key binding (the key hashes the
     mode) but carried explicitly so recovery can refuse to warm a cache

@@ -3,6 +3,7 @@ module Policy = Deflection_policy.Policy
 module Layout = Deflection_enclave.Layout
 module Interp = Deflection_runtime.Interp
 module Gateway = Deflection_gateway.Gateway
+module Verdict_cache = Deflection_gateway.Verdict_cache
 module Verifier = Deflection_verifier.Verifier
 module Attestation = Deflection_attestation.Attestation
 module Audit = Deflection_audit.Audit
@@ -64,7 +65,7 @@ let exit_recovery_failure = 14
 
 type tenant_state = {
   tc : tenant_config;
-  cache : Verifier.Cache.t;
+  cache : Verdict_cache.t;
   mutable t_offered : int;
   mutable t_admitted : int;
   mutable t_shed : int;
@@ -102,12 +103,6 @@ let bump tbl k v = Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.f
 
 let tenant_state t name = Hashtbl.find_opt t.tenants_tbl name
 
-(* The per-tenant cache never self-evicts: its internal capacity leaves
-   headroom for one full round above the quota, and the server enforces
-   the quota with a deterministic epoch-LRU trim at round boundaries —
-   mid-round eviction order would depend on the domain schedule. *)
-let internal_capacity cfg q = q.max_entries + cfg.batch_size + 8
-
 let create ?(chaos = Chaos.disabled) cfg =
   if cfg.tenants = [] then invalid_arg "Server.create: no tenants";
   if cfg.queue_capacity < 1 then invalid_arg "Server.create: queue_capacity must be >= 1";
@@ -121,7 +116,7 @@ let create ?(chaos = Chaos.disabled) cfg =
       Hashtbl.replace tenants_tbl tc.t_name
         {
           tc;
-          cache = Verifier.Cache.create ~capacity:(internal_capacity cfg tc.t_quota) ();
+          cache = Verdict_cache.create ();
           t_offered = 0;
           t_admitted = 0;
           t_shed = 0;
@@ -174,13 +169,12 @@ let create ?(chaos = Chaos.disabled) cfg =
           ()  (* verdict rendered under another verification mode: its key
                  could never be looked up here — cold re-verification *)
         | Some ts ->
-          Verifier.Cache.set_epoch ts.cache 0;
-          Verifier.Cache.preload ts.cache ~key:e.Persist.key e.Persist.verdict;
+          Verdict_cache.preload ts.cache ~key:e.Persist.key e.Persist.verdict;
           t.preloaded <- t.preloaded + 1)
       entries;
     Hashtbl.iter
       (fun _ ts ->
-        ignore (Verifier.Cache.trim ts.cache ~capacity:ts.tc.t_quota.max_entries))
+        ignore (Verdict_cache.trim ts.cache ~capacity:ts.tc.t_quota.max_entries))
       t.tenants_tbl;
     t.recovery_ <- Some report);
   t
@@ -240,7 +234,7 @@ let persist_now t ~round =
                   mode = Verifier.mode_label t.cfg.verification;
                   verdict;
                 })
-              (Verifier.Cache.export ts.cache))
+              (Verdict_cache.export ts.cache))
         t.cfg.tenants
     in
     (match Persist.save ~chaos:t.chaos ~round p entries with
@@ -250,7 +244,7 @@ let persist_now t ~round =
 let run_round t =
   if t.killed_ then invalid_arg "Server.run_round: server was killed";
   let r = t.round_ in
-  Hashtbl.iter (fun _ ts -> Verifier.Cache.set_epoch ts.cache (r + 1)) t.tenants_tbl;
+  Hashtbl.iter (fun _ ts -> Verdict_cache.set_epoch ts.cache (r + 1)) t.tenants_tbl;
   (* Deterministic admission: walk the queue in arrival order, take until
      the batch is full, skip (don't block behind) requests whose tenant
      is at its in-flight quota. *)
@@ -318,7 +312,7 @@ let run_round t =
     Hashtbl.iter
       (fun _ ts ->
         ts.t_trim_evictions <-
-          ts.t_trim_evictions + Verifier.Cache.trim ts.cache ~capacity:ts.tc.t_quota.max_entries)
+          ts.t_trim_evictions + Verdict_cache.trim ts.cache ~capacity:ts.tc.t_quota.max_entries)
       t.tenants_tbl;
     t.round_ <- r + 1;
     if
@@ -346,13 +340,13 @@ let exits_to_json tbl =
   |> List.map (fun (code, n) -> (string_of_int code, Json.Int n))
   |> fun l -> Json.Obj l
 
-let cache_stats_json q (s : Verifier.Cache.stats) =
+let cache_stats_json q (s : Verdict_cache.stats) =
   Json.Obj
     [
-      ("hits", Json.Int s.Verifier.Cache.hits);
-      ("misses", Json.Int s.Verifier.Cache.misses);
-      ("evictions", Json.Int s.Verifier.Cache.evictions);
-      ("entries", Json.Int s.Verifier.Cache.entries);
+      ("hits", Json.Int s.Verdict_cache.hits);
+      ("misses", Json.Int s.Verdict_cache.misses);
+      ("evictions", Json.Int s.Verdict_cache.evictions);
+      ("entries", Json.Int s.Verdict_cache.entries);
       ("quota_max_entries", Json.Int q.max_entries);
     ]
 
@@ -374,7 +368,7 @@ let tenant_json t tc =
               ( "fuel",
                 match tc.t_quota.fuel with None -> Json.Null | Some f -> Json.Int f );
             ] );
-        ("cache", cache_stats_json tc.t_quota (Verifier.Cache.stats ts.cache));
+        ("cache", cache_stats_json tc.t_quota (Verdict_cache.stats ts.cache));
         ("trim_evictions", Json.Int ts.t_trim_evictions);
         ("exits", exits_to_json ts.t_exits);
       ]
@@ -382,8 +376,8 @@ let tenant_json t tc =
 let warm_totals t =
   Hashtbl.fold
     (fun _ ts (h, m) ->
-      let s = Verifier.Cache.stats ts.cache in
-      (h + s.Verifier.Cache.hits, m + s.Verifier.Cache.misses))
+      let s = Verdict_cache.stats ts.cache in
+      (h + s.Verdict_cache.hits, m + s.Verdict_cache.misses))
     t.tenants_tbl (0, 0)
 
 let doc t =

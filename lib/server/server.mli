@@ -9,11 +9,11 @@
     {!Persist} so a restarted server re-serves the same workload warm.
 
     {b Isolation (Occlum model).} Tenants are isolated structurally: one
-    {!Deflection_verifier.Verifier.Cache} per tenant, trimmed to that
-    tenant's entry quota only at round boundaries, so another tenant's
-    eviction pressure cannot evict a verdict, and a poisoned single-flight
-    claim cannot block anyone (and since the verifier-cache fix, not even
-    the tenant itself — waiters convert to a miss). An in-flight quota
+    {!Deflection_gateway.Verdict_cache} per tenant, trimmed to that
+    tenant's entry quota only at round boundaries (the cache has no other
+    eviction path), so another tenant's eviction pressure cannot evict a
+    verdict, and a poisoned single-flight claim cannot block anyone, not
+    even the tenant itself — waiters convert to a miss. An in-flight quota
     caps how much of a round's batch one tenant can claim; over-quota
     requests stay queued without blocking the tenants behind them, and a
     fuel quota bounds how long a tenant's admitted code may run.

@@ -109,28 +109,10 @@ type classification = { cflags : Bytes.t; leaders : int array }
 
 let is_machinery c off = flag_bits c.cflags off land (f_members lor f_guarded) = f_members
 let is_guarded_store c off = flag_bits c.cflags off land f_guarded <> 0
-let empty_classification () = { cflags = Bytes.empty; leaders = [||] }
-
-(* Flat views for persistence: a classification is fully determined by
-   its two offset sets, so (sorted offsets out, offsets in) round-trips.
-   Leaders are deliberately not persisted — a recovered verdict merely
-   loses the block-boundary hint, never soundness. *)
-let classification_offsets c =
-  let machinery = ref [] and guarded = ref [] in
-  for off = Bytes.length c.cflags - 1 downto 0 do
-    if is_machinery c off then machinery := off :: !machinery;
-    if is_guarded_store c off then guarded := off :: !guarded
-  done;
-  (!machinery, !guarded)
-
 let classification_leaders c = Array.to_list c.leaders
+let classification_of_leaders l = { cflags = Bytes.empty; leaders = Array.of_list l }
 
-let classification_of_offsets ~machinery ~guarded_stores =
-  let cflags = Bytes.make (List.fold_left max (-1) (machinery @ guarded_stores) + 1) '\000' in
-  let mark bit = List.iter (fun o -> Bytes.set cflags o (Char.chr (flag_bits cflags o lor bit))) in
-  mark f_members machinery;
-  mark f_guarded guarded_stores;
-  { cflags; leaders = [||] }
+type verdict = (report * classification, rejection) result
 
 type st = {
   text : bytes;
@@ -1200,234 +1182,4 @@ module Witness = struct
     }
 
   let attach (obj : Objfile.t) : Objfile.t = { obj with Objfile.witness = Some (build obj) }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Measurement-keyed verdict cache: verify once, admit many. *)
-
-module Cache = struct
-  module Sha256 = Deflection_crypto.Sha256
-
-  type verdict = (report * classification, rejection) result
-
-  (* An [In_flight] entry is a claim: the domain that inserted it is
-     verifying; later arrivals for the same key block on the condition
-     until the verdict lands, then re-look-up. This single-flight
-     discipline makes hit/miss totals a function of the batch alone, not
-     of the domain schedule. A claim whose verifier raised is simply
-     removed (no terminal poisoned state): woken waiters find the key
-     absent and convert to a fresh miss, so one crashed verification
-     never blocks a measurement for the cache's lifetime. *)
-  type entry = { mutable state : state; mutable last_used : int }
-  and state = In_flight | Done of verdict
-
-  type t = {
-    capacity : int;
-    mutex : Mutex.t;
-    cond : Condition.t;
-    table : (string, entry) Hashtbl.t;
-    mutable tick : int;  (* logical access clock for LRU *)
-    mutable epoch : int option;
-        (* when set, accesses stamp this value instead of the tick: a
-           server pins the epoch to its round number so LRU victim order
-           (and thus eviction under a quota trim) is a function of the
-           round's request set, never of the domain schedule inside it *)
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-  }
-
-  type stats = { hits : int; misses : int; evictions : int; entries : int; capacity : int }
-
-  let default_capacity = 64
-
-  let create ?(capacity = default_capacity) () =
-    if capacity < 1 then invalid_arg "Verifier.Cache.create: capacity must be positive";
-    {
-      capacity;
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      table = Hashtbl.create 64;
-      tick = 0;
-      epoch = None;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-    }
-
-  let capacity (t : t) = t.capacity
-
-  let stats (t : t) =
-    Mutex.lock t.mutex;
-    let s =
-      {
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        entries = Hashtbl.length t.table;
-        capacity = t.capacity;
-      }
-    in
-    Mutex.unlock t.mutex;
-    s
-
-  let stats_to_list s =
-    [
-      ("hits", s.hits);
-      ("misses", s.misses);
-      ("evictions", s.evictions);
-      ("entries", s.entries);
-      ("capacity", s.capacity);
-    ]
-
-  (* The key binds everything the verdict depends on: the exact serialized
-     objfile (the measurement of the delivered code — which includes the
-     witness section, so a witness edit re-keys on its own), the enforced
-     policy set, the inspection period and the verification mode. The mode
-     is part of the key because the tiers are not extensionally equal: the
-     pure witnessed tier is strictly sounder on dead code, and a witnessed
-     verdict must never answer a descent request (or vice versa). *)
-  let key ~mode ~policies ~ssa_q ~(serialized : bytes) =
-    let ctx = Sha256.init () in
-    Sha256.update_string ctx (mode_label mode);
-    Sha256.update_string ctx "|";
-    Sha256.update_string ctx (Policy.Set.label policies);
-    Sha256.update_string ctx (Printf.sprintf "|q=%d|" ssa_q);
-    Sha256.update ctx serialized;
-    Bytes.to_string (Sha256.finalize ctx)
-
-  (* Logical access stamp: the tick by default, the pinned epoch when a
-     server has set one (see [set_epoch]). *)
-  let stamp t =
-    match t.epoch with
-    | Some e -> e
-    | None ->
-      t.tick <- t.tick + 1;
-      t.tick
-
-  let set_epoch t e =
-    Mutex.lock t.mutex;
-    t.epoch <- Some e;
-    Mutex.unlock t.mutex
-
-  (* Evict least-recently-used settled entries while over [cap].
-     In-flight entries are never evicted (a waiter may hold a reference);
-     the table can thus briefly exceed capacity by the number of
-     concurrent distinct verifications, but settles back under it. Ties
-     on [last_used] (routine under a pinned epoch) break on the key, so
-     the victim sequence is a function of the table's contents alone. *)
-  let evict_down_to t cap =
-    let evicted = ref 0 in
-    while
-      Hashtbl.length t.table > cap
-      &&
-      let victim = ref None in
-      Hashtbl.iter
-        (fun k e ->
-          match e.state with
-          | In_flight -> ()
-          | Done _ -> (
-            match !victim with
-            | Some (bk, bu) when bu < e.last_used || (bu = e.last_used && bk <= k) -> ()
-            | _ -> victim := Some (k, e.last_used)))
-        t.table;
-      match !victim with
-      | None -> false
-      | Some (k, _) ->
-        Hashtbl.remove t.table k;
-        t.evictions <- t.evictions + 1;
-        incr evicted;
-        true
-    do
-      ()
-    done;
-    !evicted
-
-  let evict_over_capacity t = ignore (evict_down_to t t.capacity)
-
-  let trim t ~capacity =
-    if capacity < 0 then invalid_arg "Verifier.Cache.trim: capacity must be >= 0";
-    Mutex.lock t.mutex;
-    let n = evict_down_to t capacity in
-    Mutex.unlock t.mutex;
-    n
-
-  let lookup_or_verify t ?(tm = Telemetry.disabled) ~key:k ~(verify : unit -> verdict) () :
-      verdict * [ `Hit | `Miss ] =
-    Mutex.lock t.mutex;
-    let rec attempt () =
-      match Hashtbl.find_opt t.table k with
-      | Some e -> (
-        e.last_used <- stamp t;
-        match e.state with
-        | Done v ->
-          t.hits <- t.hits + 1;
-          Mutex.unlock t.mutex;
-          Telemetry.count tm "verifier.cache.hit" 1;
-          (v, `Hit)
-        | In_flight ->
-          (* wait for the claimant to settle, then re-look-up: the claim
-             may have landed a verdict (hit on the next attempt) or died
-             (key absent — this delivery claims afresh as a miss) *)
-          Condition.wait t.cond t.mutex;
-          attempt ())
-      | None ->
-        let e = { state = In_flight; last_used = stamp t } in
-        Hashtbl.replace t.table k e;
-        t.misses <- t.misses + 1;
-        Mutex.unlock t.mutex;
-        Telemetry.count tm "verifier.cache.miss" 1;
-        (* verify outside the lock: distinct keys verify concurrently *)
-        let v =
-          match verify () with
-          | v -> v
-          | exception exn ->
-            (* never leave waiters blocked on a dead claim: drop it and
-               wake them — they re-attempt and verify afresh *)
-            Mutex.lock t.mutex;
-            Hashtbl.remove t.table k;
-            Condition.broadcast t.cond;
-            Mutex.unlock t.mutex;
-            raise exn
-        in
-        Mutex.lock t.mutex;
-        e.state <- Done v;
-        evict_over_capacity t;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mutex;
-        (v, `Miss)
-    in
-    attempt ()
-
-  let verify_classified_outcome t ?tm ?(mode = Descent) ~policies ~ssa_q ~serialized obj :
-      verdict * [ `Hit | `Miss ] =
-    let k = key ~mode ~policies ~ssa_q ~serialized in
-    lookup_or_verify t ?tm ~key:k
-      ~verify:(fun () -> verify_mode ?tm ~mode ~policies ~ssa_q obj)
-      ()
-
-  let verify_classified t ?tm ?mode ~policies ~ssa_q ~serialized obj : verdict =
-    fst (verify_classified_outcome t ?tm ?mode ~policies ~ssa_q ~serialized obj)
-
-  (* Persistence surface: settled verdicts out, trusted verdicts back in.
-     [export] never includes in-flight claims; [preload] never overwrites
-     a live entry and never touches hit/miss accounting, so a reloaded
-     cache's stats measure only post-restart traffic. *)
-  let export t =
-    Mutex.lock t.mutex;
-    let xs =
-      Hashtbl.fold
-        (fun k e acc -> match e.state with Done v -> (k, v) :: acc | In_flight -> acc)
-        t.table []
-    in
-    Mutex.unlock t.mutex;
-    List.sort (fun (a, _) (b, _) -> String.compare a b) xs
-
-  let preload t ~key:k (v : verdict) =
-    Mutex.lock t.mutex;
-    if not (Hashtbl.mem t.table k) then begin
-      Hashtbl.replace t.table k { state = Done v; last_used = stamp t };
-      evict_over_capacity t
-    end;
-    Mutex.unlock t.mutex
 end

@@ -81,20 +81,6 @@ val is_guarded_store : classification -> int -> bool
 (** [is_guarded_store c off] — [off] is the store instruction a Figure-5
     bounds template protects. *)
 
-val empty_classification : unit -> classification
-(** A classification with no machinery — every store is monitored. *)
-
-val classification_offsets : classification -> int list * int list
-(** [(machinery, guarded_stores)] as sorted offset lists — the flat view a
-    persistence layer serializes. *)
-
-val classification_of_offsets :
-  machinery:int list -> guarded_stores:int list -> classification
-(** Rebuild a classification from {!classification_offsets} output, sized
-    by the largest offset given (a negative one raises [Invalid_argument]).
-    The rebuilt value has no {!classification_leaders} — persisted verdicts
-    drop the block-boundary hint, never soundness. *)
-
 val classification_leaders : classification -> int list
 (** Sorted text offsets of the verified basic-block leaders the scan
     discovered: direct jump and call targets, function entries, abort
@@ -102,12 +88,22 @@ val classification_leaders : classification -> int list
     {!Deflection_runtime.Interp.set_block_leaders}) to end compiled
     blocks at control-flow join points instead of re-discovering them. *)
 
+val classification_of_leaders : int list -> classification
+(** The classification a sealed verdict carries back across a restart:
+    the leaders the trace tier needs, and no machinery, so every store is
+    monitored. [classification_of_leaders []] classifies nothing. *)
+
+type verdict = (report * classification, rejection) result
+(** What one verification decides: acceptance with its classification, or
+    the rejection. The unit a verdict cache stores and a sealed cache
+    file persists. *)
+
 val verify_classified :
   ?tm:Deflection_telemetry.Telemetry.t ->
   policies:Deflection_policy.Policy.Set.t ->
   ssa_q:int ->
   Objfile.t ->
-  (report * classification, rejection) result
+  verdict
 (** Like {!verify}, but on acceptance also returns the offset
     classification a runtime policy monitor needs to distinguish verified
     machinery stores from target-code stores. *)
@@ -131,7 +127,7 @@ val verify_witnessed :
   policies:Deflection_policy.Policy.Set.t ->
   ssa_q:int ->
   Objfile.t ->
-  (report * classification, rejection) result
+  verdict
 (** Witness-checked verification: one linear scan instead of recursive
     re-discovery. The binary's witness section is validated structurally
     (every claimed boundary re-decoded; no gap may hide a decodable
@@ -156,7 +152,7 @@ val verify_mode :
   policies:Deflection_policy.Policy.Set.t ->
   ssa_q:int ->
   Objfile.t ->
-  (report * classification, rejection) result
+  verdict
 (** Dispatch on {!mode}. *)
 
 (** Witness construction — the untrusted generator's half of the
@@ -173,120 +169,4 @@ module Witness : sig
 
   val attach : Objfile.t -> Objfile.t
   (** [attach obj] is [obj] with [witness = Some (build obj)]. *)
-end
-
-(** Measurement-keyed verdict cache: verify once, admit many.
-
-    The key is the SHA-256 of the serialized objfile bytes (the exact
-    record the code provider sealed — the measurement of the delivered
-    code) bound to the enforced policy set and the SSA inspection period;
-    the value is the full verdict, acceptance (report + classification)
-    {e or} rejection. A gateway serving N sessions of the same binary
-    under the same policy configuration pays the verifier pass once and
-    admits (or refuses) the other N-1 from the cache.
-
-    Thread-safe: lookups are single-flight — concurrent sessions racing
-    on the same uncached key block on the one in-flight verification
-    instead of duplicating it, so hit/miss totals depend only on the
-    request multiset, never on the domain schedule. Bounded: settled
-    entries are evicted least-recently-used once the table exceeds its
-    capacity. *)
-module Cache : sig
-  type t
-
-  type stats = {
-    hits : int;  (** lookups answered from (or merged into) a cached verdict *)
-    misses : int;  (** lookups that had to run the verifier *)
-    evictions : int;
-    entries : int;  (** current table size *)
-    capacity : int;
-  }
-
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] (default 64, must be positive) bounds the settled-entry
-      count; the least-recently-used verdict is evicted on overflow. *)
-
-  val capacity : t -> int
-  val stats : t -> stats
-
-  val stats_to_list : stats -> (string * int) list
-  (** [("hits", h); ("misses", m); ...] — for JSON/telemetry export. *)
-
-  val key :
-    mode:mode ->
-    policies:Deflection_policy.Policy.Set.t ->
-    ssa_q:int ->
-    serialized:bytes ->
-    string
-  (** The 32-byte cache key (raw SHA-256 digest). Binds the verification
-      mode alongside policies, period and the exact
-      serialized objfile — which itself contains the witness section, so
-      the witness digest is part of the measurement and distinct witnesses
-      for the same text never share an entry. Verdicts can therefore never
-      be served across modes. *)
-
-  val lookup_or_verify :
-    t ->
-    ?tm:Deflection_telemetry.Telemetry.t ->
-    key:string ->
-    verify:(unit -> (report * classification, rejection) result) ->
-    unit ->
-    (report * classification, rejection) result * [ `Hit | `Miss ]
-  (** Single-flight lookup under an arbitrary key with an injectable
-      verify thunk (the cached entry points below are this applied to
-      {!Verifier.verify_classified}). A raised [verify] drops the claim
-      and wakes waiters, who convert to a fresh miss — a crashed
-      verification never wedges its key. *)
-
-  val set_epoch : t -> int -> unit
-  (** Pin the LRU access stamp: until the next call, every lookup and
-      preload records this value as its recency instead of the internal
-      monotone tick. A server sets the epoch to its round number so that
-      victim order under {!trim} depends only on {e which} rounds touched
-      an entry, not on the domain schedule within a round; ties break on
-      the key bytes. *)
-
-  val trim : t -> capacity:int -> int
-  (** Evict settled entries least-recently-used-first (ties on the access
-      stamp break lexicographically on the key) until at most [capacity]
-      remain; returns how many were evicted and counts them in
-      {!stats}. In-flight claims are never evicted. *)
-
-  val export : t -> (string * (report * classification, rejection) result) list
-  (** All settled (key, verdict) pairs, sorted by key — the snapshot a
-      persistence layer seals. In-flight claims are excluded. *)
-
-  val preload : t -> key:string -> (report * classification, rejection) result -> unit
-  (** Insert a verdict recovered from trusted storage. Never overwrites a
-      live entry and does not touch hit/miss counters — a reloaded
-      cache's stats measure only post-restart traffic. *)
-
-  val verify_classified :
-    t ->
-    ?tm:Deflection_telemetry.Telemetry.t ->
-    ?mode:mode ->
-    policies:Deflection_policy.Policy.Set.t ->
-    ssa_q:int ->
-    serialized:bytes ->
-    Objfile.t ->
-    (report * classification, rejection) result
-  (** Like {!Verifier.verify_mode} (default [mode] is [Descent]), but
-      consult the cache first. [serialized] must be the exact bytes [obj]
-      was deserialized from. [tm] (default disabled) counts
-      ["verifier.cache.hit"] / ["verifier.cache.miss"]; a miss
-      additionally records the usual ["verify"] span tree on [tm]. *)
-
-  val verify_classified_outcome :
-    t ->
-    ?tm:Deflection_telemetry.Telemetry.t ->
-    ?mode:mode ->
-    policies:Deflection_policy.Policy.Set.t ->
-    ssa_q:int ->
-    serialized:bytes ->
-    Objfile.t ->
-    (report * classification, rejection) result * [ `Hit | `Miss ]
-  (** {!verify_classified} plus how the verdict was obtained — [`Hit] for
-      an answer from (or merged into) a cached/in-flight verdict, [`Miss]
-      when this call ran the verifier under its own claim. The audit
-      plane records this attribution per admission. *)
 end

@@ -7,6 +7,7 @@
 
 module Audit = Deflection_audit.Audit
 module Gateway = Deflection_gateway.Gateway
+module Verdict_cache = Deflection_gateway.Verdict_cache
 module Session = Deflection.Session
 module Policy = Deflection_policy.Policy
 module Verifier = Deflection_verifier.Verifier
@@ -73,7 +74,7 @@ let mixed_jobs n =
 let batch_log ~k n =
   let plat = platform () in
   let log = Audit.Log.create ~platform:plat () in
-  let cache = Verifier.Cache.create () in
+  let cache = Verdict_cache.create () in
   let batch = Gateway.run_batch ~jobs:k ~cache ~audit:log (mixed_jobs n) in
   (plat, log, batch)
 

@@ -5,6 +5,7 @@
    parent links). *)
 
 module Gateway = Deflection_gateway.Gateway
+module Verdict_cache = Deflection_gateway.Verdict_cache
 module Session = Deflection.Session
 module Policy = Deflection_policy.Policy
 module Verifier = Deflection_verifier.Verifier
@@ -42,12 +43,12 @@ let test_cache_hit_miss_accounting () =
     List.init 6 (fun i ->
         ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:(Int64.of_int (100 + i)))
   in
-  let cache = Verifier.Cache.create () in
+  let cache = Verdict_cache.create () in
   let batch = Gateway.run_batch ~cache jobs in
   let s = stats_exn batch in
-  Alcotest.(check int) "misses" 1 s.Verifier.Cache.misses;
-  Alcotest.(check int) "hits" 5 s.Verifier.Cache.hits;
-  Alcotest.(check int) "entries" 1 s.Verifier.Cache.entries;
+  Alcotest.(check int) "misses" 1 s.Verdict_cache.misses;
+  Alcotest.(check int) "hits" 5 s.Verdict_cache.hits;
+  Alcotest.(check int) "entries" 1 s.Verdict_cache.entries;
   Alcotest.(check int) "distinct binaries" 1 batch.Gateway.distinct_binaries;
   List.iter
     (fun r ->
@@ -62,19 +63,19 @@ let test_cross_mode_cache_isolation () =
   let jobs n =
     List.init n (fun i -> ok_job ~label:(Printf.sprintf "xm-%d" i) ~seed:(Int64.of_int i))
   in
-  let cache = Verifier.Cache.create () in
+  let cache = Verdict_cache.create () in
   let b1 = Gateway.run_batch ~cache ~verification:Verifier.Descent (jobs 2) in
   let s1 = stats_exn b1 in
-  Alcotest.(check int) "descent batch: one miss" 1 s1.Verifier.Cache.misses;
-  Alcotest.(check int) "descent batch: one hit" 1 s1.Verifier.Cache.hits;
+  Alcotest.(check int) "descent batch: one miss" 1 s1.Verdict_cache.misses;
+  Alcotest.(check int) "descent batch: one hit" 1 s1.Verdict_cache.hits;
   let b2 = Gateway.run_batch ~cache ~verification:Verifier.Witnessed (jobs 2) in
   let s2 = stats_exn b2 in
-  Alcotest.(check int) "witnessed batch went cold again" 2 s2.Verifier.Cache.misses;
-  Alcotest.(check int) "two entries, one per mode" 2 s2.Verifier.Cache.entries;
+  Alcotest.(check int) "witnessed batch went cold again" 2 s2.Verdict_cache.misses;
+  Alcotest.(check int) "two entries, one per mode" 2 s2.Verdict_cache.entries;
   (* and a replay under the first mode is still warm *)
   let b3 = Gateway.run_batch ~cache ~verification:Verifier.Descent (jobs 2) in
   let s3 = stats_exn b3 in
-  Alcotest.(check int) "no third miss" 2 s3.Verifier.Cache.misses;
+  Alcotest.(check int) "no third miss" 2 s3.Verdict_cache.misses;
   (* both tiers admit the compliant binary with identical behaviour *)
   List.iter
     (fun batch ->
@@ -85,16 +86,37 @@ let test_cross_mode_cache_isolation () =
         batch.Gateway.results)
     [ b1; b2; b3 ]
 
+let test_key_binds_policy_set () =
+  (* the same P1-P5 binary (same bytes, same q) through one shared cache:
+     admitted under a P1-P5 gateway, then delivered to a P1-P6 gateway,
+     which must verify afresh and reject it (its loop head carries no P6
+     inspection) — a key without the policy set would admit it from the
+     P1-P5 verdict *)
+  let src = "int main() { int s = 0; for (int i = 0; i < 4; i = i + 1) { s = s + i; } return 0; }" in
+  let job label = Gateway.job ~compile_policies:Policy.Set.p1_p5 ~label ~seed:1L src in
+  let cache = Verdict_cache.create () in
+  let b1 = Gateway.run_batch ~cache ~policies:Policy.Set.p1_p5 [ job "p5-0"; job "p5-1" ] in
+  List.iter
+    (fun r -> Alcotest.(check int) (r.Gateway.label ^ " admitted") 0 r.Gateway.exit_code)
+    b1.Gateway.results;
+  Alcotest.(check int) "P1-P5 batch: one miss" 1 (stats_exn b1).Verdict_cache.misses;
+  let b2 = Gateway.run_batch ~cache ~policies:Policy.Set.p1_p6 [ job "p6-0" ] in
+  Alcotest.(check int) "P1-P6 batch missed" 2 (stats_exn b2).Verdict_cache.misses;
+  Alcotest.(check int) "and hit nothing" 1 (stats_exn b2).Verdict_cache.hits;
+  List.iter
+    (fun r -> Alcotest.(check int) (r.Gateway.label ^ " rejected") 2 r.Gateway.exit_code)
+    b2.Gateway.results
+
 let test_rejections_are_cached () =
   (* a rejection is a verdict too: one verifier pass, then cached denials *)
   let jobs =
     List.init 4 (fun i -> reject_job ~label:(Printf.sprintf "rej-%d" i) ~seed:1L)
   in
-  let cache = Verifier.Cache.create () in
+  let cache = Verdict_cache.create () in
   let batch = Gateway.run_batch ~cache jobs in
   let s = stats_exn batch in
-  Alcotest.(check int) "misses" 1 s.Verifier.Cache.misses;
-  Alcotest.(check int) "hits" 3 s.Verifier.Cache.hits;
+  Alcotest.(check int) "misses" 1 s.Verdict_cache.misses;
+  Alcotest.(check int) "hits" 3 s.Verdict_cache.hits;
   List.iter
     (fun r ->
       Alcotest.(check int) (r.Gateway.label ^ " exit") 2 r.Gateway.exit_code;
@@ -104,8 +126,9 @@ let test_rejections_are_cached () =
     batch.Gateway.results
 
 let test_lru_eviction_bound () =
-  (* three distinct binaries through a two-entry cache: the LRU entry is
-     evicted, and the live-entry count never exceeds the capacity *)
+  (* three distinct binaries, the first at epoch 1 and the other two at
+     epoch 2: trimming to two entries evicts the least recently used
+     verdict, and only that binary goes cold again *)
   let srcs =
     [
       compliant_src;
@@ -113,7 +136,7 @@ let test_lru_eviction_bound () =
       "int main() { print_int(2); return 0; }";
     ]
   in
-  let jobs =
+  let jobs srcs =
     List.concat
       (List.mapi
          (fun i src ->
@@ -123,15 +146,22 @@ let test_lru_eviction_bound () =
            ])
          srcs)
   in
-  let cache = Verifier.Cache.create ~capacity:2 () in
-  let batch = Gateway.run_batch ~cache jobs in
+  let cache = Verdict_cache.create () in
+  Verdict_cache.set_epoch cache 1;
+  ignore (Gateway.run_batch ~cache (jobs [ List.hd srcs ]));
+  Verdict_cache.set_epoch cache 2;
+  let batch = Gateway.run_batch ~cache (jobs (List.tl srcs)) in
   let s = stats_exn batch in
-  Alcotest.(check int) "misses" 3 s.Verifier.Cache.misses;
-  Alcotest.(check int) "hits" 3 s.Verifier.Cache.hits;
-  Alcotest.(check bool) "evicted" true (s.Verifier.Cache.evictions > 0);
-  Alcotest.(check bool) "bounded" true
-    (s.Verifier.Cache.entries <= s.Verifier.Cache.capacity);
-  Alcotest.(check int) "distinct binaries" 3 batch.Gateway.distinct_binaries
+  Alcotest.(check int) "misses" 3 s.Verdict_cache.misses;
+  Alcotest.(check int) "hits" 3 s.Verdict_cache.hits;
+  Alcotest.(check int) "no self-eviction" 3 s.Verdict_cache.entries;
+  Alcotest.(check int) "distinct binaries" 2 batch.Gateway.distinct_binaries;
+  Alcotest.(check int) "one evicted" 1 (Verdict_cache.trim cache ~capacity:2);
+  let s = Verdict_cache.stats cache in
+  Alcotest.(check int) "evictions" 1 s.Verdict_cache.evictions;
+  Alcotest.(check int) "bounded" 2 s.Verdict_cache.entries;
+  let replay = stats_exn (Gateway.run_batch ~cache (jobs srcs)) in
+  Alcotest.(check int) "only the epoch-1 binary missed again" 4 replay.Verdict_cache.misses
 
 let mixed_jobs n =
   List.init n (fun i ->
@@ -142,7 +172,7 @@ let mixed_jobs n =
       | _ -> reject_job ~label:(Printf.sprintf "reject-%d" i) ~seed)
 
 let test_mixed_batch_exit_codes () =
-  let cache = Verifier.Cache.create () in
+  let cache = Verdict_cache.create () in
   let batch = Gateway.run_batch ~cache (mixed_jobs 6) in
   List.iter
     (fun r ->
@@ -155,8 +185,8 @@ let test_mixed_batch_exit_codes () =
     batch.Gateway.results;
   (* 3 distinct binaries, each delivered twice: 3 misses + 3 hits *)
   let s = stats_exn batch in
-  Alcotest.(check int) "misses" 3 s.Verifier.Cache.misses;
-  Alcotest.(check int) "hits" 3 s.Verifier.Cache.hits
+  Alcotest.(check int) "misses" 3 s.Verdict_cache.misses;
+  Alcotest.(check int) "hits" 3 s.Verdict_cache.hits
 
 let digest batch =
   List.map
@@ -168,7 +198,7 @@ let test_fanout_equivalence () =
      same results in the same order, same merged telemetry totals, same
      cache accounting -- so parallelism is unobservable in the output *)
   let run k =
-    let cache = Verifier.Cache.create () in
+    let cache = Verdict_cache.create () in
     Gateway.run_batch ~jobs:k ~cache (mixed_jobs 9)
   in
   let seq = run 1 and par = run 4 in
@@ -178,16 +208,16 @@ let test_fanout_equivalence () =
   Alcotest.(check bool) "counter totals identical" true
     (seq.Gateway.counters = par.Gateway.counters);
   let ss = stats_exn seq and sp = stats_exn par in
-  Alcotest.(check int) "hits schedule-independent" ss.Verifier.Cache.hits
-    sp.Verifier.Cache.hits;
-  Alcotest.(check int) "misses schedule-independent" ss.Verifier.Cache.misses
-    sp.Verifier.Cache.misses
+  Alcotest.(check int) "hits schedule-independent" ss.Verdict_cache.hits
+    sp.Verdict_cache.hits;
+  Alcotest.(check int) "misses schedule-independent" ss.Verdict_cache.misses
+    sp.Verdict_cache.misses
 
 let test_telemetry_merge_totals () =
   (* merged counters must be real sums: a fan-out batch of 2N identical
      sessions carries exactly twice the count of every counter of N *)
   let run n k =
-    let cache = Verifier.Cache.create () in
+    let cache = Verdict_cache.create () in
     (Gateway.run_batch ~jobs:k ~cache
        (List.init n (fun i -> ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:7L)))
       .Gateway.counters
@@ -211,7 +241,7 @@ let test_latency_families () =
      cache_hit/cache_miss split agreeing with the verdict cache, and a
      "verify" sample only where the verifier actually ran *)
   let n = 5 in
-  let cache = Verifier.Cache.create () in
+  let cache = Verdict_cache.create () in
   let batch =
     Gateway.run_batch ~cache
       (List.init n (fun i -> ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:3L))
@@ -225,9 +255,9 @@ let test_latency_families () =
         (String.concat ", " (List.map fst batch.Gateway.latencies))
   in
   Alcotest.(check int) "session samples" n (fam "session");
-  Alcotest.(check int) "hit samples" s.Verifier.Cache.hits (fam "session.cache_hit");
-  Alcotest.(check int) "miss samples" s.Verifier.Cache.misses (fam "session.cache_miss");
-  Alcotest.(check int) "verify runs = misses" s.Verifier.Cache.misses (fam "verify");
+  Alcotest.(check int) "hit samples" s.Verdict_cache.hits (fam "session.cache_hit");
+  Alcotest.(check int) "miss samples" s.Verdict_cache.misses (fam "session.cache_miss");
+  Alcotest.(check int) "verify runs = misses" s.Verdict_cache.misses (fam "verify");
   Alcotest.(check bool) "execute recorded" true (fam "execute" > 0);
   List.iter
     (fun (name, h) ->
@@ -240,7 +270,7 @@ let test_latency_schedule_independence () =
   (* durations are wall-clock, but which spans exist is deterministic:
      K=1 and K=4 must collect the same families with the same counts *)
   let run k =
-    let cache = Verifier.Cache.create () in
+    let cache = Verdict_cache.create () in
     Gateway.run_batch ~jobs:k ~cache (mixed_jobs 8)
   in
   let seq = run 1 and par = run 4 in
@@ -256,7 +286,7 @@ let span_name (s : T.span_info) = s.T.sname
 
 let trace_of_batch ~k n =
   let tm = T.create ~sink:(T.Sink.ring ~capacity:4096) () in
-  let cache = Verifier.Cache.create () in
+  let cache = Verdict_cache.create () in
   let batch =
     Gateway.run_batch ~jobs:k ~cache ~tm
       (List.init n (fun i -> ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:5L))
@@ -336,6 +366,7 @@ let suite =
     Alcotest.test_case "cache hit/miss accounting" `Quick test_cache_hit_miss_accounting;
     Alcotest.test_case "rejections are cached" `Quick test_rejections_are_cached;
     Alcotest.test_case "cross-mode cache isolation" `Quick test_cross_mode_cache_isolation;
+    Alcotest.test_case "cache key binds the policy set" `Quick test_key_binds_policy_set;
     Alcotest.test_case "lru eviction bound" `Quick test_lru_eviction_bound;
     Alcotest.test_case "mixed batch exit codes" `Quick test_mixed_batch_exit_codes;
     Alcotest.test_case "k=1 vs k=4 equivalence" `Quick test_fanout_equivalence;

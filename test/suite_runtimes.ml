@@ -25,6 +25,24 @@ let test_reproduction_tcb_small () =
   in
   Alcotest.(check bool) "our consumer is a few kLoC" true (total < 5.0)
 
+(* The trust boundary: every Table I row imports only what the allowlist
+   admits and stays within its line budget. *)
+let test_trusted_imports () =
+  List.iter
+    (fun (r : Tcb.row) ->
+      Alcotest.(check bool) (r.Tcb.label ^ ": imports were taken") true (r.Tcb.imports <> []);
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: imports outside the allowlist" r.Tcb.label)
+        [] (Tcb.disallowed_imports r))
+    Tcb.rows
+
+let test_trusted_budgets () =
+  List.iter
+    (fun (r : Tcb.row) ->
+      if r.Tcb.lines > r.Tcb.budget then
+        Alcotest.failf "%s: %d lines, over its budget of %d" r.Tcb.label r.Tcb.lines r.Tcb.budget)
+    Tcb.rows
+
 let test_fig11_crossover () =
   let rate m size = Shield.transfer_rate_mbps m ~file_bytes:size in
   (* small files: Graphene leads DEFLECTION *)
@@ -66,6 +84,8 @@ let suite =
   [
     Alcotest.test_case "tcb table shape" `Quick test_tcb_table_shape;
     Alcotest.test_case "reproduction tcb small" `Quick test_reproduction_tcb_small;
+    Alcotest.test_case "trusted rows import only the allowlist" `Quick test_trusted_imports;
+    Alcotest.test_case "trusted rows within line budget" `Quick test_trusted_budgets;
     Alcotest.test_case "fig11 crossover" `Quick test_fig11_crossover;
     Alcotest.test_case "rate monotone in size" `Quick test_rate_monotone_in_size;
     Alcotest.test_case "with_measured" `Quick test_with_measured;

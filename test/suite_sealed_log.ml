@@ -74,7 +74,7 @@ let read_text path = In_channel.with_open_bin path In_channel.input_all
 let write_text path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
 
 (* two generations of 8 entries over two tenants (acceptances carrying
-   classification offsets, one rejection) in segments of 3 + 3 + 2; the
+   block leaders, one rejection) in segments of 3 + 3 + 2; the
    previous generation survives as [.1], the material a stale-segment
    replay uses *)
 let sealed_cache ~dir =
@@ -87,9 +87,7 @@ let sealed_cache ~dir =
       mode = "descent";
       verdict =
         (if i = 2 then Error rejection
-         else
-           let machinery = [ i; i + 40 ] and guarded_stores = [ i + 80 ] in
-           Ok (report i, Verifier.classification_of_offsets ~machinery ~guarded_stores));
+         else Ok (report i, Verifier.classification_of_leaders [ i; i + 40; i + 80 ]));
     }
   in
   for round = 0 to 1 do
@@ -213,19 +211,21 @@ let rows =
     ("tamper: unreadable state file", Unreadable, Report (true, false, []));
     ("tamper: old schema", Edit (set "schema" (Json.Str "deflection-server-cache/1")),
      Report (true, false, []));
+    (* a /2 file sealed machinery offsets and no leaders: it starts cold *)
+    ("tamper: previous schema", Edit (set "schema" (Json.Str "deflection-server-cache/2")),
+     Report (true, false, []));
     ("tamper: wrong platform", Foreign_platform, Report (false, true, [ bad; bad; bad ]));
     (* its MAC carries the old generation, so exactly that segment dies *)
     ("tamper: stale segment replay", Stale_segment,
      Report (false, false, [ bad; loaded 3; loaded 2 ]));
-    (* a classification is sized by its largest offset, so an offset is
-       used only after the segment MAC vouched for it *)
+    (* a leader the trace tier would be handed: the segment MAC covers it *)
     ("tamper: huge classification offset",
      Edit
        (map_segment 0
           (update_entries
              (List.mapi (fun i e ->
                   if i > 0 then e
-                  else update "verdict" (set "machinery" (Json.List [ Json.Int max_int ])) e)))),
+                  else update "verdict" (set "leaders" (Json.List [ Json.Int max_int ])) e)))),
      Report (false, false, [ bad; loaded 3; loaded 2 ]));
   ]
 
@@ -363,8 +363,8 @@ let test_cache_total_parser () =
   let text = read_text path in
   let doc = Result.get_ok (Json.parse text) in
   let fingerprint (e : Persist.entry) =
-    let offsets (r, c) = (r, Verifier.classification_offsets c) in
-    (e.tenant, e.key, e.mode, Result.map offsets e.verdict)
+    let leaders (r, c) = (r, Verifier.classification_leaders c) in
+    (e.tenant, e.key, e.mode, Result.map leaders e.verdict)
   in
   let held = List.map fingerprint (fst (reload ~dir plat)) in
   Alcotest.(check int) "the intact file loads whole" 8 (List.length held);

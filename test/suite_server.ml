@@ -8,11 +8,10 @@
 module Server = Deflection_server.Server
 module Persist = Deflection_server.Persist
 module Verifier = Deflection_verifier.Verifier
+module Verdict_cache = Deflection_gateway.Verdict_cache
 module Policy = Deflection_policy.Policy
 module Attestation = Deflection_attestation.Attestation
 module Json = Deflection_telemetry.Json
-
-let mkkey s = Verifier.Cache.key ~mode:Verifier.Descent ~policies:Policy.Set.p1_p6 ~ssa_q:20 ~serialized:(Bytes.of_string s)
 
 let ok_verdict n =
   Ok
@@ -25,7 +24,7 @@ let ok_verdict n =
         epilogues = 1;
         ssa_checks = 0;
       },
-      Verifier.classification_of_offsets ~machinery:[] ~guarded_stores:[] )
+      Verifier.classification_of_leaders [] )
 
 let temp_dir = Suite_sealed_log.temp_dir
 
@@ -37,14 +36,14 @@ exception Boom
 let test_poisoned_slot_retryable () =
   (* a verification that crashes must not wedge its key: the claim is
      dropped, and the next delivery of the same binary verifies fresh *)
-  let cache = Verifier.Cache.create () in
-  let key = mkkey "poison" in
+  let cache = Verdict_cache.create () in
+  let key = "poison" in
   (try
-     ignore (Verifier.Cache.lookup_or_verify cache ~key ~verify:(fun () -> raise Boom) ());
+     ignore (Verdict_cache.lookup cache ~key ~verify:(fun () -> raise Boom));
      Alcotest.fail "the crashing verify should have raised"
    with Boom -> ());
   let verdict, outcome =
-    Verifier.Cache.lookup_or_verify cache ~key ~verify:(fun () -> ok_verdict 7) ()
+    Verdict_cache.lookup cache ~key ~verify:(fun () -> ok_verdict 7)
   in
   (match outcome with
   | `Miss -> ()
@@ -52,28 +51,27 @@ let test_poisoned_slot_retryable () =
   (match verdict with
   | Ok (r, _) -> Alcotest.(check int) "retried verdict" 7 r.Verifier.instructions_checked
   | Error _ -> Alcotest.fail "retry produced a rejection");
-  let s = Verifier.Cache.stats cache in
-  Alcotest.(check int) "entries" 1 s.Verifier.Cache.entries;
+  let s = Verdict_cache.stats cache in
+  Alcotest.(check int) "entries" 1 s.Verdict_cache.entries;
   (* and the settled verdict now serves hits *)
-  let _, outcome = Verifier.Cache.lookup_or_verify cache ~key ~verify:(fun () -> assert false) () in
+  let _, outcome = Verdict_cache.lookup cache ~key ~verify:(fun () -> assert false) in
   match outcome with `Hit -> () | `Miss -> Alcotest.fail "settled verdict did not serve a hit"
 
 let test_poisoned_slot_waiters_recover () =
   (* concurrent waiters blocked on a claim whose verify crashes must wake
      and re-verify instead of inheriting the crash *)
-  let cache = Verifier.Cache.create () in
-  let key = mkkey "poison-concurrent" in
+  let cache = Verdict_cache.create () in
+  let key = "poison-concurrent" in
   let gate = Atomic.make false in
   let crasher =
     Domain.spawn (fun () ->
         try
           ignore
-            (Verifier.Cache.lookup_or_verify cache ~key
+            (Verdict_cache.lookup cache ~key
                ~verify:(fun () ->
                  Atomic.set gate true;
                  Unix.sleepf 0.05;
-                 raise Boom)
-               ());
+                 raise Boom));
           false
         with Boom -> true)
   in
@@ -83,7 +81,7 @@ let test_poisoned_slot_waiters_recover () =
   (* the claim is in flight and doomed; this lookup blocks on it *)
   let waiter =
     Domain.spawn (fun () ->
-        Verifier.Cache.lookup_or_verify cache ~key ~verify:(fun () -> ok_verdict 11) ())
+        Verdict_cache.lookup cache ~key ~verify:(fun () -> ok_verdict 11))
   in
   Alcotest.(check bool) "crasher observed its own exception" true (Domain.join crasher);
   let verdict, outcome = Domain.join waiter in
@@ -95,44 +93,42 @@ let test_poisoned_slot_waiters_recover () =
   | Error _ -> Alcotest.fail "waiter produced a rejection"
 
 let test_inflight_survives_eviction () =
-  (* settled entries inserted while a claim is in flight can overflow the
-     table; eviction must only ever take settled verdicts *)
-  let cache = Verifier.Cache.create ~capacity:2 () in
-  let key = mkkey "inflight" in
+  (* a trim that runs while a claim is in flight may only take settled
+     verdicts: the claim survives even a trim to zero *)
+  let cache = Verdict_cache.create () in
+  let key = "inflight" in
   let verdict, _ =
-    Verifier.Cache.lookup_or_verify cache ~key
-      ~verify:(fun () ->
-        (* while `key` is in flight, settle enough other keys to force
-           evictions past the capacity *)
+    Verdict_cache.lookup cache ~key ~verify:(fun () ->
+        (* while `key` is in flight, settle other keys and trim them all *)
         for i = 0 to 4 do
           ignore
-            (Verifier.Cache.lookup_or_verify cache
-               ~key:(mkkey (Printf.sprintf "filler-%d" i))
-               ~verify:(fun () -> ok_verdict i)
-               ())
+            (Verdict_cache.lookup cache
+               ~key:(Printf.sprintf "filler-%d" i)
+               ~verify:(fun () -> ok_verdict i))
         done;
+        Alcotest.(check int) "every settled entry evicted" 5 (Verdict_cache.trim cache ~capacity:0);
         ok_verdict 99)
-      ()
   in
   (match verdict with
   | Ok (r, _) -> Alcotest.(check int) "in-flight verdict" 99 r.Verifier.instructions_checked
   | Error _ -> Alcotest.fail "in-flight verification was lost");
   (* the just-settled key must still be present: it was never a victim *)
-  let _, outcome = Verifier.Cache.lookup_or_verify cache ~key ~verify:(fun () -> assert false) () in
+  let _, outcome = Verdict_cache.lookup cache ~key ~verify:(fun () -> assert false) in
   (match outcome with
   | `Hit -> ()
   | `Miss -> Alcotest.fail "the in-flight entry was evicted while unsettled");
-  let s = Verifier.Cache.stats cache in
-  Alcotest.(check bool) "evictions happened" true (s.Verifier.Cache.evictions > 0)
+  let s = Verdict_cache.stats cache in
+  Alcotest.(check int) "evictions" 5 s.Verdict_cache.evictions;
+  Alcotest.(check int) "entries" 1 s.Verdict_cache.entries
 
 (* ------------------------------------------------------------------ *)
 (* epoch-LRU trim: determinism and namespace isolation *)
 
 let test_trim_epoch_lru () =
-  let cache = Verifier.Cache.create ~capacity:64 () in
+  let cache = Verdict_cache.create () in
   let insert epoch name =
-    Verifier.Cache.set_epoch cache epoch;
-    ignore (Verifier.Cache.lookup_or_verify cache ~key:(mkkey name) ~verify:(fun () -> ok_verdict 1) ())
+    Verdict_cache.set_epoch cache epoch;
+    ignore (Verdict_cache.lookup cache ~key:name ~verify:(fun () -> ok_verdict 1))
   in
   insert 1 "a";
   insert 1 "b";
@@ -140,10 +136,10 @@ let test_trim_epoch_lru () =
   insert 3 "d";
   (* trim to 2: the epoch-1 entries go first (ties on key bytes), then
      nothing — c and d survive *)
-  Alcotest.(check int) "evicted" 2 (Verifier.Cache.trim cache ~capacity:2);
+  Alcotest.(check int) "evicted" 2 (Verdict_cache.trim cache ~capacity:2);
   let hit name =
-    Verifier.Cache.set_epoch cache 9;
-    let _, o = Verifier.Cache.lookup_or_verify cache ~key:(mkkey name) ~verify:(fun () -> ok_verdict 0) () in
+    Verdict_cache.set_epoch cache 9;
+    let _, o = Verdict_cache.lookup cache ~key:name ~verify:(fun () -> ok_verdict 0) in
     o = `Hit
   in
   Alcotest.(check bool) "c survived" true (hit "c");
@@ -154,23 +150,22 @@ let test_trim_epoch_lru () =
 let test_trim_is_per_namespace () =
   (* one cache per tenant: trimming one namespace to its quota must not
      touch the other's entries *)
-  let t0 = Verifier.Cache.create ~capacity:64 () in
-  let t1 = Verifier.Cache.create ~capacity:64 () in
+  let t0 = Verdict_cache.create () in
+  let t1 = Verdict_cache.create () in
   List.iter
     (fun cache ->
-      Verifier.Cache.set_epoch cache 1;
+      Verdict_cache.set_epoch cache 1;
       for i = 0 to 5 do
         ignore
-          (Verifier.Cache.lookup_or_verify cache
-             ~key:(mkkey (Printf.sprintf "e%d" i))
-             ~verify:(fun () -> ok_verdict i)
-             ())
+          (Verdict_cache.lookup cache
+             ~key:(Printf.sprintf "e%d" i)
+             ~verify:(fun () -> ok_verdict i))
       done)
     [ t0; t1 ];
-  Alcotest.(check int) "t0 trimmed to quota" 4 (Verifier.Cache.trim t0 ~capacity:2);
-  Alcotest.(check int) "t0 entries" 2 (Verifier.Cache.stats t0).Verifier.Cache.entries;
-  Alcotest.(check int) "t1 untouched" 6 (Verifier.Cache.stats t1).Verifier.Cache.entries;
-  Alcotest.(check int) "t1 saw no evictions" 0 (Verifier.Cache.stats t1).Verifier.Cache.evictions
+  Alcotest.(check int) "t0 trimmed to quota" 4 (Verdict_cache.trim t0 ~capacity:2);
+  Alcotest.(check int) "t0 entries" 2 (Verdict_cache.stats t0).Verdict_cache.entries;
+  Alcotest.(check int) "t1 untouched" 6 (Verdict_cache.stats t1).Verdict_cache.entries;
+  Alcotest.(check int) "t1 saw no evictions" 0 (Verdict_cache.stats t1).Verdict_cache.evictions
 
 (* ------------------------------------------------------------------ *)
 (* server behaviour *)
@@ -338,6 +333,34 @@ let test_chaos_campaign_zero_violations () =
   let fired = List.fold_left (fun acc (_, n) -> acc + n) 0 c.Server.fired in
   Alcotest.(check bool) "faults actually fired" true (fired > 0)
 
+let test_recovered_verdict_keeps_leaders () =
+  (* a verdict sealed by [Persist.save] and read back by [Persist.recover]
+     hands the trace tier the leaders the cold verification found *)
+  let src = "int main() { print_int(42); return 0; }" in
+  let job = Server.Gateway.job ~label:"leaders" ~seed:1L src in
+  let leaders cache =
+    let batch = Server.Gateway.run_batch ~cache [ job ] in
+    Option.value ~default:0 (List.assoc_opt "interp.trace.leaders" batch.Server.Gateway.counters)
+  in
+  let cold_cache = Verdict_cache.create () in
+  let cold = leaders cold_cache in
+  Alcotest.(check bool) "the cold batch installs leaders" true (cold > 0);
+  let dir = temp_dir "leaders" and platform = Attestation.Platform.create ~seed:7L in
+  let p, _, _ = Persist.recover ~dir ~platform () in
+  let entry (key, verdict) = { Persist.tenant = "t0"; key; mode = "descent"; verdict } in
+  (match Persist.save ~round:0 p (List.map entry (Verdict_cache.export cold_cache)) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save failed: %s" e);
+  let _, entries, _ = Persist.recover ~dir ~platform () in
+  let warm_cache = Verdict_cache.create () in
+  List.iter
+    (fun e -> Verdict_cache.preload warm_cache ~key:e.Persist.key e.Persist.verdict)
+    entries;
+  let warm = leaders warm_cache in
+  Alcotest.(check int) "served from the recovered verdict" 1
+    (Verdict_cache.stats warm_cache).Verdict_cache.hits;
+  Alcotest.(check int) "warm leaders = cold leaders" cold warm
+
 let suite =
   [
     Alcotest.test_case "poisoned slot is retryable" `Quick test_poisoned_slot_retryable;
@@ -349,6 +372,8 @@ let suite =
     Alcotest.test_case "k=1 vs k=4 with tenants" `Quick test_fanout_equivalence_with_tenants;
     Alcotest.test_case "fuel quota tenant exits 11" `Quick test_fuel_quota_tenant;
     Alcotest.test_case "restart serves warm" `Quick test_restart_serves_warm;
+    Alcotest.test_case "recovered verdict keeps leaders" `Quick
+      test_recovered_verdict_keeps_leaders;
     Alcotest.test_case "cross-mode state not warmed" `Quick test_cross_mode_state_not_warmed;
     Alcotest.test_case "chaos campaign: zero violations" `Quick test_chaos_campaign_zero_violations;
   ]

@@ -94,7 +94,7 @@ type obs = {
   o_hotspots : string;  (* the profiler's sampled sites *)
 }
 
-let run_obj ~drive ~instr_limit ~aex_interval ~aex_seed ~inputs (obj : Objfile.t) =
+let run_obj ~drive ~instr_limit ~aex_interval ~aex_seed ~colocated_prob ~inputs (obj : Objfile.t) =
   let layout = Layout.make Layout.default_config in
   let mem = Memory.create layout in
   let loaded =
@@ -161,7 +161,7 @@ let run_obj ~drive ~instr_limit ~aex_interval ~aex_seed ~inputs (obj : Objfile.t
       Interp.instr_limit;
       aex_interval;
       aex_seed;
-      colocated_prob = 0.5;
+      colocated_prob;
     }
   in
   let recorder = Flight_recorder.create ~capacity:(1 lsl 18) () in
@@ -251,10 +251,12 @@ let diff_obs a b =
 (* ------------------------------------------------------------------ *)
 (* The differential fuzz sweep *)
 
+let default_seeds = 200
+
 let seed_count () =
   match Sys.getenv_opt "DEFLECTION_TIER_SEEDS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 200)
-  | None -> 200
+  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> default_seeds)
+  | None -> default_seeds
 
 (* Binary-search the instruction limit down to a minimal diverging
    repro: [diverges hi] holds on entry and on the returned limit. *)
@@ -269,6 +271,7 @@ let shrink_limit ~diverges hi =
 
 let test_differential () =
   let n = seed_count () in
+  let references = ref 0 and colocation_aborts = ref 0 in
   for i = 1 to n do
     let seed = Int64.of_int (1000 + i) in
     let g = Gen.generate ~seed in
@@ -278,8 +281,13 @@ let test_differential () =
     let instr_limit = if i mod 10 = 0 then 777 else 400_000 in
     let aex_interval = if i mod 7 = 0 then Some 150 else Some 4_000 in
     let aex_seed = Int64.of_int ((31 * i) + 7) in
+    (* a hostile co-location reading on every fifth seed: most programs
+       run to a normal exit and the reference check, the rest take the P6
+       co-location abort at their first AEX *)
+    let colocated_prob = if i mod 5 = 0 then 0.5 else 1.0 in
     let run drive lim =
-      run_obj ~drive ~instr_limit:lim ~aex_interval ~aex_seed ~inputs:g.Gen.inputs obj
+      run_obj ~drive ~instr_limit:lim ~aex_interval ~aex_seed ~colocated_prob
+        ~inputs:g.Gen.inputs obj
     in
     let diff lim = diff_obs (run Stepped lim) (run Blocks lim) in
     let blocks = run Blocks instr_limit in
@@ -290,15 +298,15 @@ let test_differential () =
          platform — the instruction limit or a P6 abort after an AEX *)
       match (Eval.run ~inputs:g.Gen.inputs g.Gen.prog, blocks.o_reason) with
       | Ok e, Interp.Exited code ->
+        incr references;
         Alcotest.(check int64)
           (Printf.sprintf "seed %Ld: exit code vs reference" seed)
           e.Eval.exit_code code;
         Alcotest.(check (list string))
           (Printf.sprintf "seed %Ld: outputs vs reference" seed)
           e.Eval.outputs blocks.o_outputs
-      | Ok _, (Interp.Limit_exceeded | Interp.Policy_abort (Annot.Aex_budget | Annot.Colocation))
-      | Error _, _ ->
-        ()
+      | _, Interp.Policy_abort Annot.Colocation -> incr colocation_aborts
+      | Ok _, (Interp.Limit_exceeded | Interp.Policy_abort Annot.Aex_budget) | Error _, _ -> ()
       | Ok _, _ ->
         Alcotest.failf "seed %Ld: the reference evaluator completes, the run ended with %s"
           seed blocks.o_exit)
@@ -317,7 +325,16 @@ let test_differential () =
         seed l
         (match aex_interval with Some v -> string_of_int v | None -> "none")
         aex_seed field s t g.Gen.source
-  done
+  done;
+  (* both endings stay covered: the reference check and the P6 abort *)
+  if n = default_seeds then begin
+    Alcotest.(check bool)
+      (Printf.sprintf "%d of %d programs checked against the reference" !references n)
+      true (!references >= 150);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d co-location aborts" !colocation_aborts)
+      true (!colocation_aborts >= 10)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Generation bumps invalidate compiled code *)
@@ -467,7 +484,7 @@ let test_monitor_matches_trace () =
       | Monitor.Executed e ->
         let o =
           run_obj ~drive:Blocks ~instr_limit:2_000_000 ~aex_interval:None
-            ~aex_seed:0L ~inputs:g.Gen.inputs obj
+            ~aex_seed:0L ~colocated_prob:1.0 ~inputs:g.Gen.inputs obj
         in
         Alcotest.(check string)
           (Printf.sprintf "seed %d exit" s)

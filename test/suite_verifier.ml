@@ -414,9 +414,11 @@ let test_classification_partitions_text () =
        check 0)
 
 let test_empty_classification () =
-  let cls = Verifier.empty_classification () in
+  (* what a recovered verdict carries: its leaders, and no machinery *)
+  let cls = Verifier.classification_of_leaders [ 0; 7 ] in
   Alcotest.(check bool) "nothing is machinery" false (Verifier.is_machinery cls 0);
-  Alcotest.(check bool) "nothing is guarded" false (Verifier.is_guarded_store cls 0)
+  Alcotest.(check bool) "nothing is guarded" false (Verifier.is_guarded_store cls 7);
+  Alcotest.(check (list int)) "leaders kept" [ 0; 7 ] (Verifier.classification_leaders cls)
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: the verifier must never crash, whatever the input *)
