@@ -2,7 +2,7 @@ module Sha256 = Deflection_crypto.Sha256
 module Hmac = Deflection_crypto.Hmac
 module Channel = Deflection_crypto.Channel
 module Dh = Deflection_crypto.Dh
-module Bignum = Deflection_crypto.Bignum
+module Mersenne = Deflection_crypto.Mersenne
 module B = Deflection_util.Bytebuf
 module Telemetry = Deflection_telemetry.Telemetry
 
@@ -84,14 +84,14 @@ module Ratls = struct
 
   let role_label = function Data_owner -> "data-owner" | Code_provider -> "code-provider"
 
-  type hello = { party_public : Bignum.t }
-  type reply = { quote : Quote.t; enclave_public : Bignum.t }
+  type hello = { party_public : Mersenne.t }
+  type reply = { quote : Quote.t; enclave_public : Mersenne.t }
   type session = { tx : Channel.t; rx : Channel.t }
 
   let report_data_for ~enclave_public ~role =
     let ctx = Sha256.init () in
     Sha256.update_string ctx "RA-TLS-binding:";
-    Sha256.update ctx (Bignum.to_bytes_be enclave_public);
+    Sha256.update ctx (Mersenne.to_bytes_be enclave_public);
     Sha256.update_string ctx (":" ^ role_label role);
     Sha256.finalize ctx
 

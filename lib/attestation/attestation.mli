@@ -49,8 +49,8 @@ module Ratls : sig
 
   val role_label : role -> string
 
-  type hello = { party_public : Deflection_crypto.Bignum.t }
-  type reply = { quote : Quote.t; enclave_public : Deflection_crypto.Bignum.t }
+  type hello = { party_public : Deflection_crypto.Mersenne.t }
+  type reply = { quote : Quote.t; enclave_public : Deflection_crypto.Mersenne.t }
 
   (** Directional record channels; [tx] seals what this side sends. *)
   type session = { tx : Deflection_crypto.Channel.t; rx : Deflection_crypto.Channel.t }

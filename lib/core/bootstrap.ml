@@ -240,8 +240,8 @@ let ecall_receive_binary t sealed =
             | Ok rewritten ->
               t.loaded <- Some loaded;
               t.verified <- true;
-              (* may be empty for cache-recovered verdicts: the trace
-                 tier then falls back to discovering boundaries itself *)
+              (* a cache-recovered verdict carries its leaders too:
+                 Persist seals them with the accepted verdict *)
               t.block_leaders <- Verifier.classification_leaders classification;
               Ok (report, rewritten))))))
 

@@ -1,15 +1,18 @@
-type group = { p : Bignum.t; g : Bignum.t }
+type group = { p : Mersenne.modulus; g : Mersenne.t }
 
-let mersenne k = Bignum.sub (Bignum.shift_left Bignum.one k) Bignum.one
-let default_group = { p = mersenne 521; g = Bignum.of_int 3 }
-let test_group = { p = mersenne 127; g = Bignum.of_int 3 }
+let mersenne k =
+  let p = Mersenne.modulus k in
+  { p; g = Mersenne.of_int p 3 }
 
-type keypair = { secret : Bignum.t; public : Bignum.t }
+let default_group = mersenne 521
+let test_group = mersenne 127
+
+type keypair = { secret : Mersenne.t; public : Mersenne.t }
 
 let generate ?(group = default_group) prng =
-  let secret = Bignum.random_below prng group.p in
-  { secret; public = Bignum.mod_pow group.g secret group.p }
+  let secret = Mersenne.random group.p prng in
+  { secret; public = Mersenne.pow group.p group.g secret }
 
 let shared_secret ?(group = default_group) kp their_public =
-  let shared = Bignum.mod_pow their_public kp.secret group.p in
-  Sha256.digest (Bignum.to_bytes_be shared)
+  let shared = Mersenne.pow group.p their_public kp.secret in
+  Sha256.digest (Mersenne.to_bytes_be shared)

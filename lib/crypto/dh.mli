@@ -6,7 +6,7 @@
     simulation needs an honest implementation of the protocol, not
     production-grade parameters (documented in DESIGN.md). *)
 
-type group = { p : Bignum.t; g : Bignum.t }
+type group = { p : Mersenne.modulus; g : Mersenne.t }
 
 val default_group : group
 (** p = 2^521 - 1, g = 3. *)
@@ -14,9 +14,9 @@ val default_group : group
 val test_group : group
 (** p = 2^127 - 1 — a small group to keep unit tests fast. *)
 
-type keypair = { secret : Bignum.t; public : Bignum.t }
+type keypair = { secret : Mersenne.t; public : Mersenne.t }
 
 val generate : ?group:group -> Deflection_util.Prng.t -> keypair
-val shared_secret : ?group:group -> keypair -> Bignum.t -> bytes
+val shared_secret : ?group:group -> keypair -> Mersenne.t -> bytes
 (** [shared_secret kp their_public] is the 32-byte session key material:
-    SHA-256 of the raw DH shared value. *)
+    SHA-256 of the minimal big-endian encoding of the DH shared value. *)

@@ -1,13 +1,10 @@
-(* SHA-256 over native ints masked to 32 bits (OCaml ints are 63-bit, so a
-   32-bit word always fits; [mask] truncates after additions). *)
+(* SHA-256 over native ints holding 32-bit words. Sums and rotations may
+   carry bits above bit 31 (and wrap mod 2^63, a multiple of 2^32); each
+   word is masked to 32 bits once, where it is stored, which leaves the
+   same low 32 bits as masking every step. *)
 
 let mask = 0xFFFFFFFF
-let ( &: ) a b = a land b
-let ( |: ) a b = a lor b
-let ( ^: ) a b = a lxor b
-let ( +: ) a b = (a + b) land mask
-let rotr x n = ((x lsr n) |: (x lsl (32 - n))) land mask
-let shr x n = x lsr n
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -24,14 +21,14 @@ let k =
 
 type ctx = {
   h : int array; (* 8 state words *)
-  block : bytes; (* 64-byte working block *)
+  block : bytes; (* the partial block: [fill] bytes not yet compressed *)
   w : int array; (* 64-entry message schedule — per-context, NOT module
                     global: contexts hash concurrently on separate
                     domains (the gateway's parallel session fan-out), and
                     a shared schedule silently corrupts every digest
                     computed during an overlap *)
-  mutable fill : int; (* bytes pending in [block] *)
-  mutable total : int64; (* total message bytes *)
+  mutable fill : int;
+  mutable total : int; (* total message bytes *)
 }
 
 let init () =
@@ -42,93 +39,95 @@ let init () =
     block = Bytes.create 64;
     w = Array.make 64 0;
     fill = 0;
-    total = 0L;
+    total = 0;
   }
 
-let compress ctx =
-  let b = ctx.block in
+(* Compresses the 64 bytes of [src] from [off]. *)
+let compress ctx src off =
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get b (4 * i)) lsl 24)
-      |: (Char.code (Bytes.get b ((4 * i) + 1)) lsl 16)
-      |: (Char.code (Bytes.get b ((4 * i) + 2)) lsl 8)
-      |: Char.code (Bytes.get b ((4 * i) + 3))
+    let o = off + (4 * i) in
+    w.(i) <- (Bytes.get_uint16_be src o lsl 16) lor Bytes.get_uint16_be src (o + 2)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 ^: rotr w.(i - 15) 18 ^: shr w.(i - 15) 3 in
-    let s1 = rotr w.(i - 2) 17 ^: rotr w.(i - 2) 19 ^: shr w.(i - 2) 10 in
-    w.(i) <- w.(i - 16) +: s0 +: w.(i - 7) +: s1
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
-  let a = ref ctx.h.(0)
-  and b' = ref ctx.h.(1)
-  and c = ref ctx.h.(2)
-  and d = ref ctx.h.(3)
-  and e = ref ctx.h.(4)
-  and f = ref ctx.h.(5)
-  and g = ref ctx.h.(6)
-  and h' = ref ctx.h.(7) in
+  let h = ctx.h in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 ^: rotr !e 11 ^: rotr !e 25 in
-    let ch = (!e &: !f) ^: (lnot !e &: !g &: mask) in
-    let temp1 = !h' +: s1 +: ch +: k.(i) +: w.(i) in
-    let s0 = rotr !a 2 ^: rotr !a 13 ^: rotr !a 22 in
-    let maj = (!a &: !b') ^: (!a &: !c) ^: (!b' &: !c) in
-    let temp2 = s0 +: maj in
-    h' := !g;
+    let ve = !e and va = !a in
+    let s1 = rotr ve 6 lxor rotr ve 11 lxor rotr ve 25 in
+    let ch = (ve land !f) lxor (lnot ve land !g) in
+    let t1 = !hh + s1 + ch + k.(i) + w.(i) in
+    let s0 = rotr va 2 lxor rotr va 13 lxor rotr va 22 in
+    let maj = (va land !b) lxor (va land !c) lxor (!b land !c) in
+    hh := !g;
     g := !f;
-    f := !e;
-    e := !d +: temp1;
+    f := ve;
+    e := (!d + t1) land mask;
     d := !c;
-    c := !b';
-    b' := !a;
-    a := temp1 +: temp2
+    c := !b;
+    b := va;
+    a := (t1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- ctx.h.(0) +: !a;
-  ctx.h.(1) <- ctx.h.(1) +: !b';
-  ctx.h.(2) <- ctx.h.(2) +: !c;
-  ctx.h.(3) <- ctx.h.(3) +: !d;
-  ctx.h.(4) <- ctx.h.(4) +: !e;
-  ctx.h.(5) <- ctx.h.(5) +: !f;
-  ctx.h.(6) <- ctx.h.(6) +: !g;
-  ctx.h.(7) <- ctx.h.(7) +: !h'
+  let add i v = h.(i) <- (h.(i) + v) land mask in
+  add 0 !a;
+  add 1 !b;
+  add 2 !c;
+  add 3 !d;
+  add 4 !e;
+  add 5 !f;
+  add 6 !g;
+  add 7 !hh
 
+(* Full blocks compress straight from [data]; only a partial tail is
+   copied into [ctx.block]. [data] is only read, never written, which is
+   what lets strings pass in without a copy. *)
 let update ctx data =
-  let n = Bytes.length data in
-  ctx.total <- Int64.add ctx.total (Int64.of_int n);
+  let len = Bytes.length data in
+  ctx.total <- ctx.total + len;
   let pos = ref 0 in
-  while !pos < n do
-    let take = min (64 - ctx.fill) (n - !pos) in
-    Bytes.blit data !pos ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    pos := !pos + take;
+  if ctx.fill > 0 then begin
+    pos := min (64 - ctx.fill) len;
+    Bytes.blit data 0 ctx.block ctx.fill !pos;
+    ctx.fill <- ctx.fill + !pos;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress ctx ctx.block 0;
       ctx.fill <- 0
     end
-  done
+  end;
+  while len - !pos >= 64 do
+    compress ctx data !pos;
+    pos := !pos + 64
+  done;
+  if !pos < len then begin
+    Bytes.blit data !pos ctx.block ctx.fill (len - !pos);
+    ctx.fill <- ctx.fill + (len - !pos)
+  end
 
-let update_string ctx s = update ctx (Bytes.of_string s)
+let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
+(* One padding step: 0x80, zeros up to byte 56 of the last block (a block
+   of its own when the tail leaves no room), then the bit length. *)
 let finalize ctx =
-  let bitlen = Int64.mul ctx.total 8L in
-  update ctx (Bytes.make 1 '\x80');
-  while ctx.fill <> 56 do
-    update ctx (Bytes.make 1 '\x00')
-  done;
-  let len = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set len i
-      (Char.chr
-         (Int64.to_int (Int64.shift_right_logical bitlen (8 * (7 - i))) land 0xff))
-  done;
-  update ctx len;
+  let b = ctx.block and fill = ctx.fill in
+  Bytes.set b fill '\x80';
+  if fill >= 56 then begin
+    Bytes.fill b (fill + 1) (63 - fill) '\x00';
+    compress ctx b 0;
+    Bytes.fill b 0 56 '\x00'
+  end
+  else Bytes.fill b (fill + 1) (55 - fill) '\x00';
+  Bytes.set_int64_be b 56 (Int64.mul (Int64.of_int ctx.total) 8L);
+  compress ctx b 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (ctx.h.(i) land 0xff))
+    Bytes.set_uint16_be out (4 * i) (ctx.h.(i) lsr 16);
+    Bytes.set_uint16_be out ((4 * i) + 2) (ctx.h.(i) land 0xffff)
   done;
   out
 
@@ -137,5 +136,6 @@ let digest data =
   update ctx data;
   finalize ctx
 
-let digest_string s = digest (Bytes.of_string s)
+let digest_string s = digest (Bytes.unsafe_of_string s)
+
 let hex_digest_string s = Deflection_util.Hex.encode (digest_string s)

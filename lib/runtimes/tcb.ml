@@ -74,8 +74,9 @@ type row = {
 }
 
 (* Line budgets: each row's count when the verdict cache moved out of the
-   verifier. A row that grows past its budget fails the build's tests
-   until the budget is raised here, on purpose. *)
+   verifier, and the attestation row's when a fixed-width Mersenne field
+   replaced the general bignum. A row that grows past its budget fails the
+   build's tests until the budget is raised here, on purpose. *)
 let rows =
   let imports s = String.split_on_char ' ' s |> List.filter (( <> ) "") |> List.sort_uniq compare in
   let row id label lines budget imports_text siblings =
@@ -89,8 +90,8 @@ let rows =
     row "bootstrap" "OCall wrappers / P0 (lib/core bootstrap)" Tcb_lines.bootstrap 541
       Tcb_lines.bootstrap_imports [];
     row "attestation" "RA / channel crypto (lib/attestation + lib/crypto)"
-      Tcb_lines.attestation 752 Tcb_lines.attestation_imports
-      [ "Bignum"; "Chacha20"; "Channel"; "Dh"; "Hmac"; "Sha256" ];
+      Tcb_lines.attestation 678 Tcb_lines.attestation_imports
+      [ "Chacha20"; "Channel"; "Dh"; "Hmac"; "Mersenne"; "Sha256" ];
   ]
 
 (* The import allowlist, kind 1: pure stdlib modules. Not Mutex,
